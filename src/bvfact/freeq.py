@@ -21,8 +21,11 @@ import math
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
+import numpy as np
+
 from .symexpr import Expr, QI, I, FormalSeries
 from .region import Bump, Region, not_later
+from .quadrature import integrate
 
 
 # ---------------------------------------------------------------------------
@@ -63,87 +66,75 @@ class PropagatorKernel:
         return self.value(t - s)
 
     def value(self, tau):
+        """k(tau) at a float, or at every point of an array of tau."""
         w = self.omega
         k = self.kind
-        if k == "retarded":
-            if tau <= 0:
-                return 0.0
-            return -math.sin(w * tau) / w if w else -tau
-        if k == "advanced":
-            if tau >= 0:
-                return 0.0
-            return math.sin(w * tau) / w if w else tau
-        if k == "pauli-jordan":
-            return -math.sin(w * tau) / w if w else -tau
+        if w == 0 and k in ("symmetric", "wightman", "feynman"):
+            raise ValueError("no %s vacuum kernel at omega = 0" % k)
+        if isinstance(tau, np.ndarray):
+            sin, cos, exp, where = np.sin, np.cos, np.exp, np.where
+        else:
+            tau = float(tau)
+            sin, cos, exp, where = math.sin, math.cos, cmath.exp, _pick
         if k == "symmetric":
-            if w == 0:
-                raise ValueError("no symmetric vacuum kernel at omega = 0")
-            return math.cos(w * tau) / (2 * w)
+            return cos(w * tau) / (2 * w)
         if k == "wightman":
-            if w == 0:
-                raise ValueError("no vacuum two-point kernel at omega = 0")
-            return cmath.exp(-1j * w * tau) / (2 * w)
+            return exp(-1j * w * tau) / (2 * w)
         if k == "feynman":
-            if w == 0:
-                raise ValueError("no Feynman kernel at omega = 0")
-            return cmath.exp(-1j * w * abs(tau)) / (2 * w)
-        raise AssertionError(k)
+            return exp(-1j * w * abs(tau)) / (2 * w)
+        pj = -sin(w * tau) / w if w else -tau
+        if k == "retarded":
+            return where(tau > 0, pj, 0.0)
+        if k == "advanced":
+            return where(tau < 0, -pj, 0.0)
+        return pj
 
     def __repr__(self):
         return "PropagatorKernel(%r, omega=%g)" % (self.kind, self.omega)
+
+
+def _pick(cond, x, y):
+    return x if cond else y
 
 
 def green(model: OscillatorModel, kind: str) -> PropagatorKernel:
     return PropagatorKernel(kind, model.omega)
 
 
-def pair_kernel(kernel, f: Bump, g: Bump, tol=1e-10, fderiv=0, gderiv=0):
-    """<f^(a) (x) g^(b), K> = int f^(a)(t) K(t,s) g^(b)(s) dt ds."""
-    from scipy.integrate import quad
+# kernels with a kink at tau = 0: the quadrature cuts the inner interval there
+_KINKED = {"retarded", "advanced", "feynman"}
 
+
+def pair_kernel(kernel, f: Bump, g: Bump, tol=1e-10, fderiv=0, gderiv=0):
+    """<f^(a) (x) g^(b), K> = int f^(a)(t) K(t,s) g^(b)(s) dt ds.
+
+    A fixed-rule tensor quadrature (`bvfact.quadrature`) on supp f x supp g,
+    with the s-interval cut at s = t for kernels with a kink at 0.  Raises
+    `QuadratureError` if successive rules do not agree within
+    max(tol, tol * |value|) before the node cap.
+    """
     fb = f.support.bounds()
     gb = g.support.bounds()
     if fb is None or gb is None:
         return 0.0
-    flo, fhi = float(fb[0][0]), float(fb[0][1])
-    glo, ghi = float(gb[0][0]), float(gb[0][1])
 
-    def inner(t):
-        ft = f.deriv(t, fderiv) if fderiv else f(t)
-
-        def gg(s):
-            gs = g.deriv(s, gderiv) if gderiv else g(s)
-            return ft * kernel(t, s) * gs
-        re, _ = quad(lambda s: gg(s).real if isinstance(gg(s), complex)
-                     else gg(s), glo, ghi, epsabs=tol, epsrel=tol, limit=200,
-                     points=[t] if glo < t < ghi else None)
-        im, _ = quad(lambda s: gg(s).imag if isinstance(gg(s), complex)
-                     else 0.0, glo, ghi, epsabs=tol, epsrel=tol, limit=200,
-                     points=[t] if glo < t < ghi else None)
-        return re + 1j * im
-
-    re, _ = quad(lambda t: inner(t).real, flo, fhi, epsabs=tol, epsrel=tol,
-                 limit=200)
-    im, _ = quad(lambda t: inner(t).imag, flo, fhi, epsabs=tol, epsrel=tol,
-                 limit=200)
-    return re + 1j * im if im else re
+    def integrand(t, s):
+        return f.deriv(t, fderiv) * kernel.value(t - s) * g.deriv(s, gderiv)
+    return integrate(integrand, [fb[0], gb[0]], tol,
+                     kinks=[(0, 1)] if kernel.kind in _KINKED else ())
 
 
 def green_defect(model, f: Bump, g: Bump, tol=1e-9):
     """| <P^T f (x) g, Delta^R> - int f g |, the weak Green-function defect."""
-    from scipy.integrate import quad
-
     ker = green(model, "retarded")
     w2 = model.omega ** 2
     # P is formally self-adjoint: pair Delta^R with (P f)(t) g(s)
     val = -(pair_kernel(ker, f, g, tol=tol, fderiv=2)
             + w2 * pair_kernel(ker, f, g, tol=tol))
-    b = f.support.bounds()
+    b = (f * g).support.bounds()
     if b is None:
         return abs(val)
-    lo, hi = float(b[0][0]), float(b[0][1])
-    direct, _ = quad(lambda t: f(t) * g(t), lo, hi, epsabs=tol, epsrel=tol,
-                     limit=200)
+    direct = integrate(lambda t: f(t) * g(t), b, tol)
     return abs(val - direct)
 
 
@@ -232,9 +223,12 @@ class Diagram:
             es = tuple(sorted(_norm_edge(pos[a], pos[b], k, o)
                               for a, b, k, o in edges))
             sgn = _odd_perm_sign(perm, odd)
-            cand = (es, tuple(perm))
-            if best is None or cand[0] < best[0]:
-                best = (es, tuple(perm), sgn)
+            if best is None or es < best[0]:
+                best = [es, tuple(perm), sgn]
+            elif es == best[0] and sgn != best[2]:
+                # an automorphism with Koszul sign -1: the diagram equals
+                # its own negative
+                best[2] = 0
         perm = best[1]
         self.verts = tuple(verts[i] for i in perm)
         self.edges = best[0]
@@ -242,15 +236,6 @@ class Diagram:
 
     def key(self):
         return (tuple(v.key() for v in self.verts), self.edges)
-
-    def dump(self):
-        lines = ["vertex %d %r supp=%r" % (i, v, None if v.w is None
-                                           else v.w.support.boxes)
-                 for i, v in enumerate(self.verts)]
-        for a, b, k, o in self.edges:
-            lines.append("edge %d %d %s%s" % (a, b, k,
-                                              "" if o > 0 else " (reversed)"))
-        return "\n".join(lines)
 
     def __repr__(self):
         es = ",".join("%d-%d:%s" % (a, b, k) for a, b, k, _ in self.edges)
@@ -277,6 +262,8 @@ class DiagramPoly:
             self._add(diag, coeff)
 
     def _add(self, diag, coeff):
+        if diag.sign == 0:
+            return  # odd under one of its automorphisms, so zero
         if any(v.w is not None and v.w.support.is_empty() for v in diag.verts):
             return  # a vertex weight with empty support is the zero functional
         if not isinstance(coeff, FormalSeries):
@@ -331,12 +318,6 @@ class DiagramPoly:
         if not isinstance(other, DiagramPoly):
             return NotImplemented
         return (self - other).is_zero()
-
-    def dump(self):
-        chunks = []
-        for d, c in sorted(self.terms.values(), key=lambda t: t[0].key()):
-            chunks.append("coeff %s\n%s" % (c, d.dump()))
-        return "\n\n".join(chunks) if chunks else "0"
 
     def __repr__(self):
         return " + ".join("(%s)*%r" % (c, d)
@@ -675,59 +656,48 @@ def peierls(F: DiagramPoly, G: DiagramPoly) -> DiagramPoly:
 
 def eval_diagram(diag: Diagram, model: OscillatorModel, fields,
                  tol=1e-10) -> complex:
-    """Nested quadrature over vertex positions (supports up to 3 vertices)."""
-    from scipy.integrate import quad
+    """Integral of the diagram over its vertex positions (up to 3 vertices).
 
+    A fixed-rule tensor quadrature (`bvfact.quadrature`) on the product of
+    the vertex supports, evaluated in chunks, with the inner intervals cut
+    where a retarded, advanced or Feynman edge has its kink.  Raises
+    `QuadratureError` if successive rules do not agree within
+    max(tol, tol * |value|) before the node cap.
+    """
     verts = diag.verts
     n = len(verts)
+    if n == 0:
+        return 1.0 + 0.0j
+    if n > 3:
+        raise NotImplementedError("diagram evaluation supports <= 3 vertices")
     kernels = {k: PropagatorKernel(k, model.omega) for k in
                {e[2] for e in diag.edges}}
 
     def vertex_factor(v, t):
-        out = v.w(t) if v.w is not None else 1.0
+        out = v.w(t)
         if v.u:
-            out *= fields["u"].jet(t, (0,)) ** v.u
+            out = out * fields["u"].jet(t, (0,)) ** v.u
         if v.p:
-            out *= model.p_apply(fields["u"], t) ** v.p
+            out = out * model.p_apply(fields["u"], t) ** v.p
         if v.au:
-            out *= fields["u~"].jet(t, (0,)) ** v.au
+            out = out * fields["u~"].jet(t, (0,)) ** v.au
         return out
 
-    def integrand(ts):
-        val = 1.0 + 0.0j
+    def integrand(*ts):
+        val = 1.0
         for v, t in zip(verts, ts):
-            val *= vertex_factor(v, t)
-            if val == 0:
-                return 0.0
+            val = val * vertex_factor(v, t)
         for a, b, k, o in diag.edges:
-            tau = o * (ts[a] - ts[b])
-            val *= kernels[k].value(tau)
+            val = val * kernels[k].value(o * (ts[a] - ts[b]))
         return val
-
-    if n == 0:
-        return integrand(())
-    if n > 3:
-        raise NotImplementedError("diagram evaluation supports <= 3 vertices")
 
     bounds = []
     for v in verts:
         if v.w is None or v.w.support.bounds() is None:
             return 0.0
-        (lo, hi), = v.w.support.bounds()
-        bounds.append((float(lo), float(hi)))
-
-    def nest(level, ts):
-        if level == n:
-            return integrand(ts)
-        lo, hi = bounds[level]
-        eps = tol * (10 ** (n - level - 1))
-        re, _ = quad(lambda t: nest(level + 1, ts + (t,)).real, lo, hi,
-                     epsabs=eps, epsrel=eps, limit=120)
-        im, _ = quad(lambda t: nest(level + 1, ts + (t,)).imag, lo, hi,
-                     epsabs=eps, epsrel=eps, limit=120)
-        return re + 1j * im
-
-    return nest(0, ())
+        bounds.append(v.w.support.bounds()[0])
+    kinks = [(a, b) for a, b, k, _ in diag.edges if k in _KINKED]
+    return complex(integrate(integrand, bounds, tol, kinks))
 
 
 def eval_poly(P: DiagramPoly, model, fields, tol=1e-10):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .symexpr import Expr, Symbol, QI
+from .quadrature import QuadratureError
 
 
 def xsym(i: int) -> Symbol:
@@ -605,10 +606,6 @@ def _solve_sparse(columns, rhs, nrows):
 # Numeric evaluation of local functionals
 # ---------------------------------------------------------------------------
 
-class QuadratureError(RuntimeError):
-    pass
-
-
 def _density_value(density: JetExpr, pt, fields, testfns):
     if density.dim == 1:
         pt_t = (pt,) if not isinstance(pt, (tuple, list)) else tuple(pt)
@@ -699,10 +696,6 @@ def jetexpr_to_text(je: JetExpr) -> str:
     """Serialize to the textual syntax of `symexpr.to_text`."""
     from .symexpr import to_text
     return to_text(je.expr)
-
-
-def lagform_to_text(form: LagForm) -> str:
-    return jetexpr_to_text(form.density)
 
 
 def parse_jetexpr(text, dim=1, grades=None, testnames=()) -> JetExpr:

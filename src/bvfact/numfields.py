@@ -2,7 +2,8 @@
 
 A field sample is any object with ``jet(pt, mu) -> float`` returning the
 partial derivative of multi-index mu at the point (pt is a scalar in dim 1,
-a tuple in dim 2).
+a tuple in dim 2).  The dim-1 samples also take an array of points and
+return an array.
 """
 
 from __future__ import annotations
@@ -10,6 +11,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+def _points(t):
+    """A float, or a float array for an array of points."""
+    if isinstance(t, np.ndarray):
+        return t.astype(float, copy=False)
+    return float(t)
 
 
 class Poly1D:
@@ -20,11 +28,11 @@ class Poly1D:
 
     def jet(self, t, mu):
         k = mu[0] if mu else 0
-        t = float(t)
-        out = 0.0
+        t = _points(t)
+        out = 0 * t
         for j, c in enumerate(self.coeffs):
             if j >= k:
-                out += c * math.perm(j, k) * t ** (j - k)
+                out = out + c * math.perm(j, k) * t ** (j - k)
         return out
 
 
@@ -39,6 +47,9 @@ class Harmonic1D:
         a, b = self.a, self.b
         for _ in range(k):
             a, b = b * self.w, -a * self.w
+        t = _points(t)
+        if isinstance(t, np.ndarray):
+            return a * np.cos(self.w * t) + b * np.sin(self.w * t)
         return a * math.cos(self.w * t) + b * math.sin(self.w * t)
 
 
@@ -50,7 +61,7 @@ class Gaussian1D:
 
     def jet(self, t, mu):
         k = mu[0] if mu else 0
-        x = float(t) - self.c
+        x = _points(t) - self.c
         # derivative polynomials: p_{k+1} = p_k' - 2 s x p_k
         p = [self.a]
         for _ in range(k):
@@ -61,7 +72,8 @@ class Gaussian1D:
                 q[j + 1] += -2 * self.s * c
             p = q
         val = sum(c * x ** j for j, c in enumerate(p))
-        return val * math.exp(-self.s * x * x)
+        exp = np.exp if isinstance(x, np.ndarray) else math.exp
+        return val * exp(-self.s * x * x)
 
 
 class BumpField:

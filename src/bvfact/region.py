@@ -7,7 +7,7 @@ predicate/sampling based.  The metric is diag(+,-).
 Bumps are closed-form compactly supported smooth functions built from the
 mollifier exp(-1/(1-t^2)) under affine placement, sums, products and
 quotients; they evaluate together with derivatives to any order via
-Taylor-series arithmetic at the evaluation point.
+Taylor-series arithmetic, at one point or on a numpy array of points.
 """
 
 from __future__ import annotations
@@ -174,45 +174,6 @@ def _merge_intervals(ivs):
 # Causal structure, metric diag(+,-,...)
 # ---------------------------------------------------------------------------
 
-class CausalFuture:
-    """Membership predicate for J^+(R); exact in dim 1 (a closed ray)."""
-
-    def __init__(self, region: Region):
-        self.region = region
-        self.dim = region.dim
-        if region.is_empty():
-            self.t_min = None
-        elif self.dim == 1:
-            self.t_min = min(b[0][0] for b in region.boxes)
-        else:
-            self.t_min = min(b[0][0] for b in region.boxes)
-
-    def contains(self, pt):
-        if self.region.is_empty():
-            return False
-        if self.dim == 1:
-            t = pt if not isinstance(pt, (tuple, list)) else pt[0]
-            return t >= self.t_min
-        t, x = pt
-        for (t0, t1), (x0, x1) in self.region.boxes:
-            # J+ of an open box: points reachable by future-directed causal
-            # curves from some box point
-            if t <= float(t0):
-                continue
-            dx = 0.0
-            if x < float(x0):
-                dx = float(x0) - x
-            elif x > float(x1):
-                dx = x - float(x1)
-            if dx <= t - float(t0):
-                return True
-        return False
-
-
-def causal_future(region: Region) -> CausalFuture:
-    return CausalFuture(region)
-
-
 def not_later(A: Region, B: Region) -> bool:
     """True iff A does not intersect the causal future of B."""
     A._chk(B)
@@ -308,34 +269,89 @@ def _weiss_1d(cover, U, k):
 # ---------------------------------------------------------------------------
 # Bumps: Taylor-series arithmetic nodes
 # ---------------------------------------------------------------------------
+#
+# A node's `taylor(ev, n, flip)` returns n rows: row k holds the Taylor
+# coefficient f^(k)(t)/k! at the points of the evaluation `ev` (reflected to
+# -t when `flip`).  A row is a float when the points are one float, and an
+# array or a constant float when they are an array; the same arithmetic
+# serves both, with `_where`, `_any` and `_expf` choosing numpy or math.
+# Children are requested through `ev.rows`, which computes each (node, n,
+# flip) once per evaluation, so a subtree shared inside a tree is evaluated
+# once.
 
-def _series_mul(a, b):
-    n = len(a)
-    out = np.zeros(n, dtype=a.dtype if a.dtype == complex else float)
-    for i in range(n):
-        if a[i]:
-            out[i:] = out[i:] + a[i] * b[:n - i]
+def _where(cond, x, y):
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
+
+
+def _any(cond):
+    return cond.any() if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def _expf(x):
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+
+
+def _nonzero(rows):
+    """Per point: does the series differ from 0 in some row?"""
+    live = rows[0] != 0
+    for r in rows[1:]:
+        live = live | (r != 0)
+    return live
+
+
+def _mul(a, b):
+    out = []
+    for k in range(len(a)):
+        s = a[0] * b[k]
+        for i in range(1, k + 1):
+            s = s + a[i] * b[k - i]
+        out.append(s)
     return out
 
 
-def _series_div(a, b):
-    if b[0] == 0:
-        raise ZeroDivisionError("series division by zero constant term")
-    n = len(a)
-    out = np.zeros(n, dtype=float)
-    for i in range(n):
-        s = a[i] - sum(out[j] * b[i - j] for j in range(i))
-        out[i] = s / b[0]
+def _div(a, b):
+    """a / b for b[0] != 0 at every point."""
+    out = [a[0] / b[0]]
+    for i in range(1, len(a)):
+        s = out[0] * b[i]
+        for j in range(1, i):
+            s = s + out[j] * b[i - j]
+        out.append((a[i] - s) / b[0])
     return out
 
 
-def _series_exp(a):
-    n = len(a)
-    out = np.zeros(n, dtype=float)
-    out[0] = math.exp(a[0])
-    for i in range(1, n):
-        out[i] = sum(j * a[j] * out[i - j] for j in range(1, i + 1)) / i
+def _exp(a):
+    out = [_expf(a[0])]
+    for i in range(1, len(a)):
+        s = a[1] * out[i - 1]
+        for j in range(2, i + 1):
+            s = s + j * a[j] * out[i - j]
+        out.append(s / i)
     return out
+
+
+class _Taylor:
+    """One evaluation of a node tree at the points `t`."""
+
+    __slots__ = ("points", "memo")
+
+    def __init__(self, t):
+        self.points = [t, None]
+        self.memo = {}
+
+    def at(self, flip):
+        if flip and self.points[1] is None:
+            self.points[1] = -self.points[0]
+        return self.points[flip]
+
+    def rows(self, node, n, flip=0):
+        key = (id(node), n, flip)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = node.taylor(self, n, flip)
+        return out
 
 
 class Bump:
@@ -350,20 +366,34 @@ class Bump:
         self.serial = Bump._counter
 
     # evaluation ---------------------------------------------------------
+    def values(self, ts, order=0):
+        """Taylor coefficients f^(k)(t)/k!, k = 0..order, at every point of
+        `ts`: an array of shape (order + 1,) + shape(ts)."""
+        if np.ndim(ts) == 0:
+            return np.array(_Taylor(float(ts)).rows(self.node, order + 1))
+        t = np.asarray(ts, dtype=float)
+        flat = t.reshape(-1)
+        out = np.empty((order + 1, flat.size))
+        for k, row in enumerate(_Taylor(flat).rows(self.node, order + 1)):
+            out[k] = row
+        return out.reshape((order + 1,) + t.shape)
+
     def series(self, t, order):
         """Taylor coefficients f(t), f'(t)/1!, ..., f^(order)(t)/order!."""
-        return self.node.series(float(t), order + 1)
+        return self.values(t, order)
 
     def __call__(self, t):
-        return float(self.series(t, 0)[0])
+        v = self.series(t, 0)[0]
+        return v if np.ndim(v) else float(v)
 
     def deriv(self, t, k):
-        s = self.series(t, k)
-        return float(s[k] * math.factorial(k))
+        v = self.series(t, k)[k] * math.factorial(k)
+        return v if np.ndim(v) else float(v)
 
     def derivs(self, t, order):
         s = self.series(t, order)
-        return np.array([s[k] * math.factorial(k) for k in range(order + 1)])
+        scale = [math.factorial(k) for k in range(order + 1)]
+        return s * np.reshape(scale, (-1,) + (1,) * (s.ndim - 1))
 
     # algebra ------------------------------------------------------------
     def __add__(self, other):
@@ -410,10 +440,8 @@ class _Const:
     def __init__(self, c):
         self.c = float(c)
 
-    def series(self, t, n):
-        out = np.zeros(n)
-        out[0] = self.c
-        return out
+    def taylor(self, ev, n, flip):
+        return [self.c] + [0.0] * (n - 1)
 
 
 class _Poly:
@@ -422,25 +450,26 @@ class _Poly:
     def __init__(self, coeffs):
         self.coeffs = [float(c) for c in coeffs]
 
-    def series(self, t, n):
-        out = np.zeros(n)
-        # shift polynomial to center t via binomials
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j in range(min(k, n - 1) + 1):
-                out[j] += c * math.comb(k, j) * t ** (k - j)
-        return out
+    def taylor(self, ev, n, flip):
+        t = ev.at(flip)
+        # row j is sum_k c_k C(k, j) t^(k-j), the polynomial shifted to t
+        rows = []
+        for j in range(n):
+            val = 0.0
+            for k in range(len(self.coeffs) - 1, j - 1, -1):
+                val = val * t + self.coeffs[k] * math.comb(k, j)
+            rows.append(val)
+        return rows
 
 
 class _Sum:
     def __init__(self, children):
         self.children = children
 
-    def series(self, t, n):
-        out = np.zeros(n)
-        for ch in self.children:
-            out = out + ch.series(t, n)
+    def taylor(self, ev, n, flip):
+        out = ev.rows(self.children[0], n, flip)
+        for ch in self.children[1:]:
+            out = [a + b for a, b in zip(out, ev.rows(ch, n, flip))]
         return out
 
 
@@ -448,30 +477,42 @@ class _Prod:
     def __init__(self, children):
         self.children = children
 
-    def series(self, t, n):
-        out = None
-        for ch in self.children:
-            s = ch.series(t, n)
-            out = s if out is None else _series_mul(out, s)
-            if out is not None and not out.any():
-                return np.zeros(n)
+    def taylor(self, ev, n, flip):
+        out = ev.rows(self.children[0], n, flip)
+        for ch in self.children[1:]:
+            live = _nonzero(out)
+            if not _any(live):
+                return [0.0] * n
+            out = _mul(out, ev.rows(ch, n, flip))
+            if n > 1:
+                # a factor vanishing to all orders at a point zeroes the
+                # product there, whatever the other factors are
+                out = [_where(live, r, 0.0) for r in out]
         return out
 
 
 class _Quot:
-    """Numerator/denominator; returns 0 where the numerator vanishes to all
-    orders (the denominator is then allowed to vanish too)."""
+    """Numerator/denominator; 0 where the numerator vanishes to all orders
+    (the denominator is then allowed to vanish too)."""
 
     def __init__(self, num, den):
         self.num = num
         self.den = den
 
-    def series(self, t, n):
-        a = self.num.series(t, n)
-        if not a.any():
-            return np.zeros(n)
-        b = self.den.series(t, n)
-        return _series_div(a, b)
+    def taylor(self, ev, n, flip):
+        a = ev.rows(self.num, n, flip)
+        live = _nonzero(a)
+        if not _any(live):
+            return [0.0] * n
+        b = ev.rows(self.den, n, flip)
+        zero = b[0] == 0
+        if _any(zero):
+            if _any(zero & live):
+                raise ZeroDivisionError("series division by zero constant "
+                                        "term")
+            b = [_where(zero, 1.0, b[0])] + [_where(zero, 0.0, r)
+                                             for r in b[1:]]
+        return _div(a, b)
 
 
 class _ExpInv:
@@ -480,14 +521,20 @@ class _ExpInv:
     def __init__(self, arg):
         self.arg = arg
 
-    def series(self, t, n):
-        g = self.arg.series(t, max(n, 1))
-        if g[0] <= 0:
-            return np.zeros(n)
-        one = np.zeros(len(g))
-        one[0] = 1.0
-        h = -_series_div(one, g)
-        return _series_exp(h)[:n]
+    def taylor(self, ev, n, flip):
+        g = ev.rows(self.arg, n, flip)
+        pos = g[0] > 0
+        if not _any(pos):
+            return [0.0] * n
+        value = _where(pos, _expf(-1.0 / _where(pos, g[0], 1.0)), 0.0)
+        if n == 1:
+            return [value]
+        # where exp(-1/g) underflows to 0 every derivative is 0 as well (the
+        # series would overflow there and give inf * 0)
+        pos = value > 0
+        g = [_where(pos, g[0], 1.0)] + [_where(pos, r, 0.0) for r in g[1:]]
+        h = [-r for r in _div([1.0] + [0.0] * (n - 1), g)]
+        return [_where(pos, r, 0.0) for r in _exp(h)]
 
 
 def mollifier(center=0, radius=1):
@@ -519,10 +566,9 @@ class _Step(Bump):
     """Smoothstep; support is a ray so region bookkeeping is by the cutoff."""
 
     def __init__(self, node, a):
-        self.node = node
+        cut = Fraction(a).limit_denominator(10**9)
+        super().__init__(node, Region.interval(cut, cut + 10**9))
         self.cut = a
-        self.support = Region.interval(Fraction(a).limit_denominator(10**9),
-                                       Fraction(a).limit_denominator(10**9) + 10**9)
 
 
 def window(a, b, c, d):
@@ -540,20 +586,20 @@ class _Deriv:
         self.child = child
         self.k = k
 
-    def series(self, t, n):
-        s = self.child.series(t, n + self.k)
-        return np.array([s[j + self.k] * math.factorial(j + self.k)
-                         / math.factorial(j) for j in range(n)])
+    def taylor(self, ev, n, flip):
+        k = self.k
+        s = ev.rows(self.child, n + k, flip)
+        return [s[j + k] * math.factorial(j + k) / math.factorial(j)
+                for j in range(n)]
 
 
 class _Reflect:
     def __init__(self, child):
         self.child = child
 
-    def series(self, t, n):
-        s = self.child.series(-t, n)
-        signs = np.array([(-1.0) ** k for k in range(n)])
-        return s * signs
+    def taylor(self, ev, n, flip):
+        s = ev.rows(self.child, n, 1 - flip)
+        return [-r if k % 2 else r for k, r in enumerate(s)]
 
 
 def constant_one():

@@ -195,3 +195,23 @@ class TestFreeQuantumDifferential:
         G = field_obs(G_BUMP, power=1, afpower=1)
         L = bv_laplacian(F * G)
         assert not L.is_zero()
+
+
+class TestCanonicalForm:
+    def test_odd_squares_vanish(self):
+        # u~ is odd, so a product of two equal odd vertices is its own
+        # negative under the swap of the two
+        for F in (field_obs(F_BUMP, afpower=1),
+                  field_obs(F_BUMP, power=1, afpower=1),
+                  field_obs(F_BUMP, power=0, afpower=1)):
+            assert (F * F).is_zero()
+
+    def test_even_squares_survive(self):
+        F = field_obs(F_BUMP, power=2)
+        assert not (F * F).is_zero()
+
+    def test_smoothstep_vertex_weight(self):
+        from bvfact.region import smoothstep
+        P = field_obs(smoothstep(0, 1)) * field_obs(
+            mollifier(0, Fraction(1, 2)))
+        assert not P.is_zero()
