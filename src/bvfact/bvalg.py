@@ -294,28 +294,6 @@ def bv_vector_field(S: GenLagrangian, F: LocalFunctional,
     return LocalFunctional(br, F.region, F.content, dict(F.weights))
 
 
-def equivalent_lagrangians(L1: GenLagrangian, L2: GenLagrangian,
-                           plateau, battery, tol=1e-9) -> bool:
-    """True iff supp(L1(f) - L2(f)) lies in supp(df), checked by evaluating
-    the difference on sampled fields supported inside the plateau of f
-    (where df = 0).
-
-    `plateau` maps each test name to a sample whose derivative vanishes on
-    the region where the battery fields live; `battery` is a list of field
-    sample dicts.
-    """
-    diff = L1.density - L2.density
-    if diff.is_zero():
-        return True
-    lf = LagForm.top(diff, L1.dim)
-    from .region import constant_one
-    for fields in battery:
-        v = evaluate_local(lf, constant_one(), fields, plateau, tol=tol / 10)
-        if abs(v) > tol:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Model registries
 # ---------------------------------------------------------------------------

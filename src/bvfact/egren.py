@@ -538,19 +538,3 @@ def recover_delta_coefficient(T: TimeOrder2, T2: TimeOrder2, f: Bump,
 def _unit_field():
     from .numfields import Poly1D
     return Poly1D([1.0])
-
-
-# ---------------------------------------------------------------------------
-# Wick expansion
-# ---------------------------------------------------------------------------
-
-def wick_expand(alpha, field_names=None):
-    """Decompose a local template into (t-coefficient slot, residual) pairs
-    via the jet coproduct: alpha -> sum c * (slot tensor residual).  Plugging
-    kernel values for the slots reassembles the time-ordered product."""
-    from .mloc import coproduct
-
-    out = []
-    for left, right, coeff in coproduct(alpha, field_names=field_names):
-        out.append((left, right, coeff))
-    return out

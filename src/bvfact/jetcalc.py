@@ -13,10 +13,6 @@ base indices; antisymmetry is absorbed into the sorted keys.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
-
 from .symexpr import Expr, Symbol, QI
 from .quadrature import QuadratureError
 
@@ -286,15 +282,6 @@ def euler_lagrange_density(density: JetExpr, field_symbols=None, right=False):
     return out
 
 
-def total_divergence(fs) -> JetExpr:
-    """Div of a vector of JetExprs: sum_i D_i f_i."""
-    out = None
-    for i, f in enumerate(fs):
-        t = total_derivative(f, i)
-        out = t if out is None else out + t
-    return out
-
-
 def is_total_divergence(density: JetExpr) -> bool:
     """Exact test: a polynomial density with no purely-base part is a total
     divergence iff all EL derivatives (including ones with respect to
@@ -313,79 +300,24 @@ def is_total_divergence(density: JetExpr) -> bool:
     return all(v.is_zero() for v in els.values())
 
 
+_TF_PREFIX = "@tf:"
+
+
 def _promote_testfns(density: JetExpr) -> JetExpr:
     table = {}
     for s in density.expr.symbols():
         if s.ns == "tf":
-            table[s] = Expr.sym(Symbol("jet", "@tf:" + s.name, s.index, 0))
+            table[s] = Expr.sym(Symbol("jet", _TF_PREFIX + s.name, s.index, 0))
     return JetExpr(density.expr.subs(table), density.dim)
 
 
-# ---------------------------------------------------------------------------
-# Mapping-cone complex: LocElement = (LagForm degree n+k, plain form degree
-# n+k+1), cohomological degree k in [-n-1, 0].
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LocElement:
-    lag: LagForm          # Lagrangian (n+k)-form, or None when k = -n-1
-    form: LagForm         # field-independent (n+k+1)-form, or None when k = 0
-    k: int                # cohomological degree
-
-    def __post_init__(self):
-        n = None
-        if self.lag is not None:
-            n = self.lag.dim
-        elif self.form is not None:
-            n = self.form.dim
-        if n is None:
-            raise ValueError("empty LocElement")
-        self.dim = n
-        if not -n - 1 <= self.k <= 0:
-            raise ValueError("cohomological degree %d out of range" % self.k)
-        if self.lag is not None and self.lag.degree != n + self.k:
-            raise ValueError("lag degree mismatch")
-        if self.form is not None and self.form.degree != n + self.k + 1:
-            raise ValueError("form degree mismatch")
-        if self.form is not None:
-            for v in self.form.components.values():
-                for s in v.expr.symbols():
-                    if s.ns == "jet":
-                        raise ValueError("de Rham part must be field-independent")
-
-    def __eq__(self, other):
-        if not isinstance(other, LocElement):
-            return NotImplemented
-        def norm(f):
-            return None if (f is None or f.is_zero()) else f
-        return self.k == other.k and norm(self.lag) == norm(other.lag) \
-            and norm(self.form) == norm(other.form)
-
-    def is_zero(self):
-        return (self.lag is None or self.lag.is_zero()) and \
-            (self.form is None or self.form.is_zero())
-
-
-def loc_diff(e: LocElement) -> LocElement:
-    """Mapping-cone differential d(lag, form) = (d_Lag lag + iota(form),
-    -d_DR form).  The minus sign on the de Rham side makes d^2 = 0."""
-    n = e.dim
-    k = e.k + 1
-    if e.k == 0:
-        raise ValueError("element already in top cohomological degree")
-    new_lag = None
-    if n + k <= n:
-        new_lag = LagForm.zero(n + k, n)
-        if e.lag is not None:
-            new_lag = new_lag + horizontal_diff(e.lag)
-        if e.form is not None:
-            new_lag = new_lag + e.form  # iota: include the plain form
-    new_form = None
-    if n + k + 1 <= n:
-        new_form = LagForm.zero(n + k + 1, n)
-        if e.form is not None:
-            new_form = new_form + (-horizontal_diff(e.form))
-    return LocElement(new_lag, new_form, k)
+def _demote_testfns(expr: Expr) -> Expr:
+    """Inverse of _promote_testfns."""
+    table = {}
+    for s in expr.symbols():
+        if s.ns == "jet" and s.name.startswith(_TF_PREFIX):
+            table[s] = Expr.sym(testfn(s.name[len(_TF_PREFIX):], s.index))
+    return expr.subs(table) if table else expr
 
 
 # ---------------------------------------------------------------------------
@@ -405,91 +337,42 @@ class ExactnessDefect(ValueError):
         self.el_classes = el_classes
 
 
-def _monomial_basis(symbols, max_total_deg, max_xdeg, max_order):
-    """All monomials in `symbols` with bounded jet-degree, x-degree, order."""
-    xs = sorted([s for s in symbols if s.ns == "x"], key=lambda s: s.key())
-    js = sorted([s for s in symbols if s.ns != "x"], key=lambda s: s.key())
-    basis = [()]
-    for s in js:
-        new = []
-        cap = 1 if s.odd else max_total_deg
-        for mono in basis:
-            deg = sum(e for t, e in mono if t.ns != "x")
-            for e in range(0, cap + 1):
-                if deg + e > max_total_deg:
-                    break
-                new.append(mono + (((s, e),) if e else ()))
-        basis = new
-    for s in xs:
-        new = []
-        for mono in basis:
-            xdeg = sum(e for t, e in mono if t.ns == "x")
-            for e in range(0, max_xdeg + 1):
-                if xdeg + e > max_xdeg:
-                    break
-                new.append(mono + (((s, e),) if e else ()))
-        basis = new
-    canon = []
-    for mono in basis:
-        canon.append(tuple(sorted(mono, key=lambda p: p[0].key())))
-    return sorted(set(canon))
-
-
-def _ansatz_symbols(omega: LagForm, extra_order):
-    syms = set()
-    maxdeg = 0
-    maxx = 0
-    maxord = 0
-    for coef in omega.components.values():
-        for mono, _ in coef.expr.terms.items():
-            maxdeg = max(maxdeg, sum(e for s, e in mono if s.ns != "x"))
-            maxx = max(maxx, sum(e for s, e in mono if s.ns == "x"))
-        for s in coef.expr.symbols():
-            syms.add(s)
-            if s.ns != "x":
-                maxord = max(maxord, sum(s.index))
-    names = {(s.ns, s.name, s.grade) for s in syms if s.ns != "x"}
-    dim = omega.dim
-    full = {xsym(i) for i in range(dim)}
-    maxord = maxord + extra_order
-    for ns, name, grade in names:
-        for mu in _multi_indices(dim, maxord):
-            full.add(Symbol(ns, name, mu, grade))
-    return full, maxdeg, maxx + 1, maxord
-
-
-def _multi_indices(dim, max_total):
-    out = []
-    def rec(prefix, remaining, left):
-        if left == 0:
-            out.append(tuple(prefix))
-            return
-        for m in range(remaining + 1):
-            rec(prefix + [m], remaining - m, left - 1)
-    rec([], max_total, dim)
-    # strip trailing zeros for canonical multi-indices
-    return sorted({tuple(_strip(mu)) for mu in out})
-
-
-def _strip(mu):
-    mu = list(mu)
+def _lower(s: Symbol):
+    """(i, t) with D_i t = s: lower the last nonzero entry of s's
+    multi-index.  t's multi-index has no trailing zeros, the form
+    total_derivative writes."""
+    mu = list(s.index)
+    i = max(j for j, k in enumerate(mu) if k)
+    mu[i] -= 1
     while mu and mu[-1] == 0:
         mu.pop()
-    return mu
+    return i, Symbol(s.ns, s.name, tuple(mu), s.grade)
 
 
 def homotopy_primitive(omega: LagForm, check: bool = True):
     """Primitive of a closed Lagrangian p-form with polynomial coefficients.
 
-    Returns (eta, obstruction) with d(eta) = omega - obstruction, where the
-    obstruction is the constant (degree-0 cohomology) part.  For p = n a
-    nonzero Euler-Lagrange class is the defect of exactness and is reported
-    via ExactnessDefect.
+    Returns (eta, obstruction) with d(eta) = omega - obstruction.
 
-    The primitive is found exactly by solving the sparse linear system
-    d(eta) = omega over the rationals on a finite polynomial ansatz; the
-    algebraic Poincare lemma guarantees a solution exists on the (iteratively
-    enlarged) ansatz space.
+    p = 0: a closed 0-form is a constant c; eta = 0 and the obstruction is c.
+    Otherwise the obstruction is 0.
+
+    p = n: omega = L dx_0^...^dx_{n-1}.  Test-function symbols are treated
+    as fields (as in is_total_divergence), so L is exact iff every
+    Euler-Lagrange derivative of L vanishes; otherwise ExactnessDefect
+    carries the nonzero ones (a test function w under the label "@tf:w").
+    The primitive is the closed-form homotopy operator of the variational
+    bicomplex (Olver, Applications of Lie Groups to Differential Equations,
+    sec. 5.4), evaluated without a lambda-integral: by Euler's identity the part of field degree d >= 1
+    is (1/d) sum_s s dL/ds (left derivatives), and each s_K P is integrated
+    by parts, s_K P = D_i(s_{K-e_i} P) - s_{K-e_i} D_i P, down to K = 0.
+    The remainders sum to sum_a u^a E_a(L_d) / d = 0.  The field-independent
+    part, a polynomial in x, is integrated in x_0.  Component eta^i sits
+    under the key range(n) minus i with sign (-1)^i, so that
+    horizontal_diff(eta) = sum_i D_i eta^i dx_0^...^dx_{n-1}.
+
+    0 < p < n: NotClosedError if d(omega) != 0 (when `check`), else
+    NotImplementedError.
     """
     n, p = omega.dim, omega.degree
     if omega.is_zero():
@@ -504,103 +387,45 @@ def homotopy_primitive(omega: LagForm, check: bool = True):
         if coef.expr != Expr.const(c):
             raise NotClosedError(horizontal_diff(omega))
         return LagForm.zero(0, n), c
-    if p < n and check:
-        d = horizontal_diff(omega)
-        if not d.is_zero():
-            raise NotClosedError(d)
-    target = omega
-    if p == n:
-        els = euler_lagrange(omega)
-        bad = {k: v for k, v in els.items() if not v.is_zero()}
-        if bad:
-            raise ExactnessDefect(bad)
-    for extra in (1, 2, 3):
-        eta = _solve_primitive(target, extra)
-        if eta is not None:
-            return eta, QI(0)
-    raise RuntimeError("no polynomial primitive found within ansatz bounds")
-
-
-def _solve_primitive(omega: LagForm, extra_order):
-    n, p = omega.dim, omega.degree
-    syms, maxdeg, maxx, maxord = _ansatz_symbols(omega, extra_order)
-    monos = _monomial_basis(syms, maxdeg, maxx, maxord)
-    keys = list(itertools.combinations(range(n), p - 1))
-    unknowns = [(key, mono) for key in keys for mono in monos]
-    # build columns: d applied to each ansatz basis element
-    columns = []
-    for key, mono in unknowns:
-        basis_form = LagForm(p - 1, n, {key: JetExpr(Expr({mono: QI(1)}), n)})
-        columns.append(horizontal_diff(basis_form))
-    # row space: (component key, monomial) of degree-p forms
-    rows = {}
-    def row_of(k, m):
-        if (k, m) not in rows:
-            rows[(k, m)] = len(rows)
-        return rows[(k, m)]
-    matrix = []  # list of dict row->QI per column
-    for col in columns:
-        entries = {}
-        for k, coef in col.components.items():
-            for m, c in coef.expr.terms.items():
-                entries[row_of(k, m)] = c
-        matrix.append(entries)
-    rhs = {}
-    for k, coef in omega.components.items():
-        for m, c in coef.expr.terms.items():
-            rhs[row_of(k, m)] = c
-    sol = _solve_sparse(matrix, rhs, len(rows))
-    if sol is None:
-        return None
-    acc = {}
-    for coeff, (key, mono) in zip(sol, unknowns):
-        if not coeff:
+    if p < n:
+        if check:
+            d = horizontal_diff(omega)
+            if not d.is_zero():
+                raise NotClosedError(d)
+        raise NotImplementedError(
+            "homotopy primitives of %d-forms in dimension %d" % (p, n))
+    density = _promote_testfns(omega.component(tuple(range(n))))
+    els = euler_lagrange_density(density)
+    bad = {k: v for k, v in els.items() if not v.is_zero()}
+    if bad:
+        raise ExactnessDefect(bad)
+    # each monomial of field degree d >= 1 scaled by 1/d; degree 0 kept apart
+    scaled, base = {}, {}
+    for mono, c in density.expr.terms.items():
+        d = sum(e for s, e in mono if s.ns != "x")
+        if d:
+            scaled[mono] = c / d
+        else:
+            base[mono] = c
+    scaled = Expr(scaled)
+    x0 = xsym(0)
+    eta = [Expr.zero()] * n
+    for mono, c in base.items():
+        a = dict(mono).get(x0, 0)
+        eta[0] = eta[0] + Expr({mono: c / (a + 1)}) * Expr.sym(x0)
+    for s in scaled.symbols():
+        if s.ns == "x":
             continue
-        cur = acc.get(key, Expr.zero())
-        acc[key] = cur + Expr({mono: coeff})
-    return LagForm(p - 1, n, {k: JetExpr(v, n) for k, v in acc.items() if v})
-
-
-def _solve_sparse(columns, rhs, nrows):
-    """Solve A x = b over QI; columns given as dicts row->QI.  Returns a
-    solution list or None."""
-    ncols = len(columns)
-    dense = [[QI(0)] * (ncols + 1) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for r, c in col.items():
-            dense[r][j] = c
-    for r, c in rhs.items():
-        dense[r][ncols] = c
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if dense[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        dense[row], dense[piv] = dense[piv], dense[row]
-        pv = dense[row][col]
-        dense[row] = [v / pv for v in dense[row]]
-        for r in range(nrows):
-            if r != row and dense[r][col]:
-                f = dense[r][col]
-                dense[r] = [a - f * b for a, b in zip(dense[r], dense[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    # consistency
-    for r in range(nrows):
-        if all(not dense[r][c] for c in range(ncols)) and dense[r][ncols]:
-            return None
-    sol = [QI(0)] * ncols
-    for r, c in pivots:
-        sol[c] = dense[r][ncols]
-    return sol
-
+        q = JetExpr(scaled.dleft(s), n)
+        while any(s.index):
+            i, s = _lower(s)
+            eta[i] = eta[i] + Expr.sym(s) * q.expr
+            q = -total_derivative(q, i)
+    comps = {}
+    for i, e in enumerate(eta):
+        e = _demote_testfns(e)
+        comps[tuple(j for j in range(n) if j != i)] = -e if i % 2 else e
+    return LagForm(n - 1, n, comps), QI(0)
 
 # ---------------------------------------------------------------------------
 # Numeric evaluation of local functionals
@@ -634,16 +459,31 @@ def _density_value(density: JetExpr, pt, fields, testfns):
     return v
 
 
+def _quad_complex(f, lo, hi, tol, limit):
+    """Adaptive quadrature of a complex integrand, one pass per part.
+    Raises QuadratureError when either part's error estimate exceeds
+    100 * max(tol, 1e-12) * max(1, |part|)."""
+    from scipy.integrate import quad
+
+    parts = []
+    for part in (lambda t: f(t).real, lambda t: f(t).imag):
+        v, err = quad(part, lo, hi, epsabs=tol, epsrel=tol, limit=limit)
+        if err > 100 * max(tol, 1e-12) * max(1.0, abs(v)):
+            raise QuadratureError("quadrature did not converge (err=%g)" % err,
+                                  estimate=v, error=err)
+        parts.append(v)
+    re, im = parts
+    return re + 1j * im if im else re
+
+
 def evaluate_local(lagform: LagForm, weight, fields, testfns=None,
                    tol=1e-10, region=None):
     """Adaptive quadrature of (density at the sampled field) * weight.
 
     dim 1: weight is a region.Bump.  dim 2: weight is a pair of Bumps
-    (product weight).  Returns a complex number (real part is the value for
-    real inputs).
+    (product weight).  Returns a complex number, or a float when the
+    imaginary part is 0.
     """
-    from scipy.integrate import quad
-
     testfns = testfns or {}
     if lagform.degree != lagform.dim:
         raise ValueError("evaluate_local needs a top-degree form")
@@ -654,37 +494,26 @@ def evaluate_local(lagform: LagForm, weight, fields, testfns=None,
         supp = weight.support.bounds()
         if supp is None:
             return 0.0
-        lo, hi = float(supp[0][0]), float(supp[0][1])
-
-        def integrand_re(t):
-            return (_density_value(density, t, fields, testfns) * weight(t)).real
-
-        def integrand_im(t):
-            return (_density_value(density, t, fields, testfns) * weight(t)).imag
-
-        re, ere = quad(integrand_re, lo, hi, epsabs=tol, epsrel=tol, limit=200)
-        im, eim = quad(integrand_im, lo, hi, epsabs=tol, epsrel=tol, limit=200)
-        if ere > 100 * max(tol, 1e-12) * max(1.0, abs(re)):
-            raise QuadratureError("quadrature did not converge (err=%g)" % ere)
-        return re + 1j * im if abs(im) > 0 else re
+        return _quad_complex(
+            lambda t: _density_value(density, t, fields, testfns) * weight(t),
+            float(supp[0][0]), float(supp[0][1]), tol, 200)
     if lagform.dim == 2:
         wt, wx = weight
         bt = wt.support.bounds()
         bx = wx.support.bounds()
         if bt is None or bx is None:
             return 0.0
+        inner_values = {}  # the real and imaginary outer passes share nodes
 
         def inner(t):
-            def f(x):
-                return (_density_value(density, (t, x), fields, testfns)).real \
-                    * wt(t) * wx(x)
-            v, _ = quad(f, float(bx[0][0]), float(bx[0][1]),
-                        epsabs=tol * 10, epsrel=tol * 10, limit=100)
-            return v
+            if t not in inner_values:
+                inner_values[t] = wt(t) * _quad_complex(
+                    lambda x: _density_value(density, (t, x), fields, testfns)
+                    * wx(x), float(bx[0][0]), float(bx[0][1]), tol * 10, 100)
+            return inner_values[t]
 
-        v, _ = quad(inner, float(bt[0][0]), float(bt[0][1]),
-                    epsabs=tol * 10, epsrel=tol * 10, limit=100)
-        return v
+        return _quad_complex(inner, float(bt[0][0]), float(bt[0][1]),
+                             tol * 10, 100)
     raise NotImplementedError("evaluate_local supports dim 1 and 2")
 
 

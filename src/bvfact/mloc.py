@@ -7,6 +7,7 @@ any slot relabeling of it compare equal (up to the graded sign, which the
 symmetrization absorbs).
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -107,7 +108,7 @@ class MultilocalObs:
                 if not symmetrize:
                     _add(MLTerm(slots, term.weights, coeff))
                     continue
-                inv = Fraction(1, _factorial(m))
+                inv = Fraction(1, math.factorial(m))
                 for perm in permutations(range(m)):
                     sgn = _perm_sign(perm, grades)
                     c = coeff * (inv * sgn)
@@ -168,13 +169,6 @@ class MultilocalObs:
     def __repr__(self):
         return "MultilocalObs(%d terms, degrees %s)" % (
             len(self.terms), self.degrees())
-
-
-def _factorial(m):
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
 
 
 def _mlterm_replace_coeff(self, coeff):

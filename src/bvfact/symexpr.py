@@ -9,6 +9,7 @@ are dropped.  Two expressions are equal iff their term dicts are equal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -370,12 +371,6 @@ def _as_expr(x):
     return Expr.const(x)
 
 
-def normalize(e: Expr) -> Expr:
-    """Canonical form.  Construction keeps Exprs canonical, so this is the
-    identity on well-formed input; it re-normalizes term dicts defensively."""
-    return Expr.from_terms(e.terms.items())
-
-
 class FormalSeries:
     """Truncated formal power series in hbar and lam with Expr coefficients."""
 
@@ -479,10 +474,6 @@ class FormalSeries:
         return " + ".join(parts)
 
 
-def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
-    return a * b
-
-
 def series_exp(a: FormalSeries) -> FormalSeries:
     """exp of a series with no (0,0) term, truncated."""
     if (0, 0) in a.coeffs:
@@ -495,14 +486,7 @@ def series_exp(a: FormalSeries) -> FormalSeries:
         if term.is_zero():
             break
         out = out + term.map(lambda e, k=k: e.map_coeff(
-            lambda c: c * Fraction(1, _factorial(k))))
-    return out
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
+            lambda c: c * Fraction(1, math.factorial(k))))
     return out
 
 

@@ -13,8 +13,9 @@ from bvfact.jetcalc import (jet, JetExpr, LagForm, total_derivative,
                             homotopy_primitive, NotClosedError,
                             ExactnessDefect, evaluate_local, parse_jetexpr,
                             jetexpr_to_text)
+from bvfact.jetcalc import testfn as tfn, xsym
 from bvfact.region import mollifier
-from bvfact.numfields import Poly1D
+from bvfact.numfields import Poly1D, Separable2D
 
 
 def random_jetexpr(rng, dim=1, nterm=3, maxdeg=3, maxord=2, grades=None):
@@ -112,6 +113,52 @@ class TestHomotopyPrimitive:
         with pytest.raises(NotClosedError):
             homotopy_primitive(LagForm(0, 1, {(): u}))
 
+    @staticmethod
+    def _random_mixed(rng, dim):
+        """Even and odd field jets, test-function jets and x factors, with
+        a field-independent polynomial in x as one term."""
+        grades = {"u": 0, "c": 1, "b": -1}
+        e = Expr.sym(xsym(rng.randrange(dim))) ** rng.randint(1, 2)
+        for _ in range(rng.randint(1, 3)):
+            m = Expr.const(QI(rng.randint(-3, 3), rng.randint(-2, 2)))
+            for _ in range(rng.randint(1, 3)):
+                mu = [rng.randint(0, 2) for _ in range(dim)]
+                while mu and mu[-1] == 0:
+                    mu.pop()
+                kind = rng.random()
+                if kind < 0.2:
+                    m = m * Expr.sym(xsym(rng.randrange(dim)))
+                elif kind < 0.4:
+                    m = m * Expr.sym(tfn("w", tuple(mu)))
+                else:
+                    nm = rng.choice(sorted(grades))
+                    m = m * Expr.sym(jet(nm, tuple(mu), grades[nm]))
+            e = e + m
+        return JetExpr(e, dim)
+
+    def test_primitives_of_mixed_dim2_divergences(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            f, g = self._random_mixed(rng, 2), self._random_mixed(rng, 2)
+            omega = LagForm.top(total_derivative(f, 0) + total_derivative(g, 1), 2)
+            eta, obstruction = homotopy_primitive(omega)
+            assert not obstruction
+            assert horizontal_diff(eta) == omega
+
+    def test_testfunction_obstruction_is_defect(self):
+        w = JetExpr.of(tfn("w"), 1)
+        with pytest.raises(ExactnessDefect):
+            homotopy_primitive(LagForm.top(w, 1))
+
+    def test_intermediate_degree(self):
+        u = JetExpr.of(jet("u", (), 0), 2)
+        x0 = JetExpr.of(xsym(0), 2)
+        closed = horizontal_diff(LagForm(0, 2, {(): x0 * u * u}))
+        with pytest.raises(NotImplementedError):
+            homotopy_primitive(closed)
+        with pytest.raises(NotClosedError):
+            homotopy_primitive(LagForm(1, 2, {(0,): u}))
+
 
 class TestIsTotalDivergence:
     def test_accepts_divergence(self):
@@ -137,6 +184,16 @@ class TestEvaluateLocal:
         want, _ = quad(lambda t: (t * t + 1) * w(t), 0, 1,
                        epsabs=1e-12, epsrel=1e-12)
         assert abs(got - want) < 1e-10
+
+    def test_dim2_imaginary_part(self):
+        u = JetExpr.of(jet("u", (), 0), 2)
+        w = mollifier(0, Fraction(1, 2))
+        fields = {"u": Separable2D(Poly1D([1]), Poly1D([1]))}
+        re = evaluate_local(LagForm.top(u, 2), (w, w), fields, tol=1e-8)
+        im = evaluate_local(LagForm.top(u * QI(0, 1), 2), (w, w), fields,
+                            tol=1e-8)
+        assert re > 0.04
+        assert abs(im - 1j * re) < 1e-9
 
 
 class TestTextRoundtrip:
