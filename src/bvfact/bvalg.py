@@ -166,19 +166,8 @@ def antibracket(F: LocalFunctional, G: LocalFunctional) -> LocalFunctional:
     density = antibracket_density(F.content, F.density, G.density)
     w = dict(F.weights)
     w.update(G.weights)
-    region = _intersect_region(F.region, G.region)
-    return LocalFunctional(density, region, F.content, w)
-
-
-def _intersect_region(a: Region, b: Region) -> Region:
-    boxes = []
-    for b1 in a.boxes:
-        for b2 in b.boxes:
-            box = tuple((max(l1, l2), min(h1, h2))
-                        for (l1, h1), (l2, h2) in zip(b1, b2))
-            if all(lo < hi for lo, hi in box):
-                boxes.append(box)
-    return Region(boxes, a.dim)
+    return LocalFunctional(density, F.region.intersection(G.region),
+                           F.content, w)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,8 @@ import warnings
 from fractions import Fraction
 
 from .region import Bump, mollifier, window
-from .freeq import (OscillatorModel, PropagatorKernel, DiagramPoly, Diagram,
-                    Vertex, tprod, field_obs, eval_poly, _merge, _addsplit,
-                    _hbar_weight)
+from .freeq import (OscillatorModel, PropagatorKernel, DiagramPoly, tprod,
+                    field_obs, eval_poly, _concat, _merge, _hbar_weight)
 from .symexpr import Expr, FormalSeries
 
 
@@ -357,12 +356,10 @@ def _contact_terms(F: DiagramPoly, G: DiagramPoly, m, c) -> DiagramPoly:
     for d1, c1 in F.terms.values():
         n1 = len(d1.verts)
         for d2, c2 in G.terms.values():
-            verts0 = d1.verts + d2.verts
-            edges0 = list(d1.edges) + [(a + n1, b + n1, k, o)
-                                       for a, b, k, o in d2.edges]
+            verts0, edges0 = _concat(d1, d2)
             coeff = c1 * c2 * w * c
             for i in range(n1):
-                for j in range(n1, n1 + len(d2.verts)):
+                for j in range(n1, len(verts0)):
                     vi, vj = verts0[i], verts0[j]
                     count = _falling(vi.u, m) * _falling(vj.u, m)
                     if not count:
@@ -370,8 +367,7 @@ def _contact_terms(F: DiagramPoly, G: DiagramPoly, m, c) -> DiagramPoly:
                     verts = list(verts0)
                     verts[i] = vi.replace(u=vi.u - m)
                     verts[j] = vj.replace(u=vj.u - m)
-                    res = _merge(verts, edges0, i, j)
-                    _addsplit(out, res, coeff * count)
+                    out._add(_merge(verts, edges0, i, j), coeff * count)
     return out
 
 

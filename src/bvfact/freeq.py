@@ -158,8 +158,7 @@ class Vertex:
         return self.au % 2 == 1
 
     def key(self):
-        return (self.u, self.au, self.p,
-                0 if self.w is None else self.w.serial)
+        return (self.u, self.au, self.p, () if self.w is None else self.w.key)
 
     def replace(self, **kw):
         vals = {"u": self.u, "au": self.au, "p": self.p, "w": self.w}
@@ -192,7 +191,12 @@ def _norm_edge(i, j, kind, orient=1):
 
 
 class Diagram:
-    """Vertices plus kernel edges, in canonical form."""
+    """Vertices plus kernel edges, in canonical form.
+
+    `sign` multiplies the coefficient `DiagramPoly._add` gives the diagram:
+    the Koszul sign of reaching the canonical vertex order (and of a vertex
+    fusion, see `_merge`), or 0 for a diagram that is zero.
+    """
 
     __slots__ = ("verts", "edges", "sign")
 
@@ -241,6 +245,14 @@ class Diagram:
         es = ",".join("%d-%d:%s" % (a, b, k) for a, b, k, _ in self.edges)
         return "Diag(%s%s)" % ("".join(map(repr, self.verts)),
                                ";" + es if es else "")
+
+
+def _concat(d1, d2):
+    """The vertices and edges of d1 followed by those of d2, d2's edges
+    shifted past d1's vertices."""
+    n = len(d1.verts)
+    return (d1.verts + d2.verts,
+            d1.edges + tuple((a + n, b + n, k, o) for a, b, k, o in d2.edges))
 
 
 def _odd_perm_sign(perm, odd):
@@ -305,10 +317,7 @@ class DiagramPoly:
         out = DiagramPoly(orders=self.orders)
         for d1, c1 in self.terms.values():
             for d2, c2 in other.terms.values():
-                n = len(d1.verts)
-                edges = list(d1.edges) + [(a + n, b + n, k, o)
-                                          for a, b, k, o in d2.edges]
-                out._add(Diagram(d1.verts + d2.verts, edges), c1 * c2)
+                out._add(Diagram(*_concat(d1, d2)), c1 * c2)
         return out
 
     def is_zero(self):
@@ -385,9 +394,7 @@ def _contract_u_legs(diag, i, j, kind):
             if kind != "feynman":
                 raise NotImplementedError("P-marked contraction needs the "
                                           "Feynman kernel")
-            res = _merge(verts, diag.edges, i, j)
-            if res is not None:
-                out.append((res, count * 1j))
+            out.append((_merge(verts, diag.edges, i, j), count * 1j))
     return out
 
 
@@ -412,95 +419,37 @@ def _contract_same_vertex(diag, i, kind):
     return out
 
 
-_PRODUCT_CACHE = {}
-
-
-def _bump_atoms(w):
-    """Multiset of primitive factors, so that differently-associated products
-    of the same bumps compare equal."""
-    return getattr(w, "_product_atoms", (w.serial,))
-
-
-def _bump_product(w1, w2):
-    """Memoized Bump product so merged vertices compare structurally."""
-    key = tuple(sorted(_bump_atoms(w1) + _bump_atoms(w2)))
-    if key not in _PRODUCT_CACHE:
-        prod = w1 * w2
-        prod._product_atoms = key
-        _PRODUCT_CACHE[key] = prod
-    return _PRODUCT_CACHE[key]
-
-
 def _merge(verts, edges, i, j):
     """delta(t_i - t_j) contraction: fuse vertex j into vertex i.
 
-    Returns None (the zero diagram) if the fused vertex would carry two
-    antifield legs: u~ is odd, so u~(t)^2 = 0 pointwise.
+    The Koszul sign of moving vj's odd content next to vi, across the
+    vertices between, goes into the diagram's sign.  The sign is 0 if the
+    fused vertex would carry two antifield legs: u~ is odd, so u~(t)^2 = 0
+    pointwise.
     """
     verts = list(verts)
     vi, vj = verts[i], verts[j]
-    if vi.au + vj.au >= 2:
-        return None
-    if vi.w is None:
-        w = vj.w
-    elif vj.w is None:
-        w = vi.w
+    if vi.w is None or vj.w is None:
+        w = vj.w if vi.w is None else vi.w
     else:
-        w = _bump_product(vi.w, vj.w)
-    fused = Vertex(u=vi.u + vj.u, au=vi.au + vj.au, p=vi.p + vj.p, w=w)
-    # Koszul: moving vj's odd content next to vi across the vertices between
-    sign = 1
-    lo, hi = (i, j) if i < j else (j, i)
-    if vj.au % 2:
-        between = sum(verts[k].au for k in range(lo + 1, hi))
-        if between % 2:
-            sign = -sign
-    verts[i] = fused
+        w = vi.w * vj.w
+    if vi.au + vj.au >= 2:
+        sign = 0
+    elif vj.au % 2 and sum(v.au for v in verts[min(i, j) + 1:max(i, j)]) % 2:
+        sign = -1
+    else:
+        sign = 1
+    verts[i] = Vertex(u=vi.u + vj.u, au=vi.au + vj.au, p=vi.p + vj.p, w=w)
     del verts[j]
 
     def remap(k):
         k = i if k == j else k
         return k if k < j else k - 1
 
-    new_edges = [_norm_edge(remap(a), remap(b), kind, o)
-                 for a, b, kind, o in edges]
-    d = Diagram(verts, new_edges)
-    return _negate_marker(d) if sign < 0 else d
-
-
-class _NegDiagram:
-    # wrapper so _merge can signal a sign flip to its caller
-    def __init__(self, diag):
-        self.diag = diag
-
-
-def _negate_marker(d):
-    return _NegDiagram(d)
-
-
-def _mixed_contraction(F: DiagramPoly, G: DiagramPoly, kind, weight):
-    """sum over single kernel contractions between an F-leg and a G-leg of
-    the concatenated diagram, scaled by `weight` (a FormalSeries or scalar).
-
-    Returns a DiagramPoly of concatenations with exactly one new mixed edge.
-    """
-    out = DiagramPoly(orders=F.orders)
-    for d1, c1 in F.terms.values():
-        n1 = len(d1.verts)
-        for d2, c2 in G.terms.values():
-            base_verts = d1.verts + d2.verts
-            base_edges = list(d1.edges) + [(a + n1, b + n1, k, o)
-                                           for a, b, k, o in d2.edges]
-            base = Diagram(base_verts, base_edges, canonicalize=False)
-            coeff = c1 * c2 * weight
-            for i in range(n1):
-                for j in range(n1, n1 + len(d2.verts)):
-                    for res, cnt in _contract_u_legs(base, i, j, kind):
-                        if isinstance(res, _NegDiagram):
-                            out._add(res.diag, coeff * (-cnt))
-                        else:
-                            out._add(res, coeff * cnt)
-    return out
+    d = Diagram(verts, [_norm_edge(remap(a), remap(b), kind, o)
+                        for a, b, kind, o in edges])
+    d.sign *= sign
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +462,8 @@ def _hbar_weight(k, orders, sign=1):
     return FormalSeries({(k, 0): Expr.const(c)}, orders)
 
 
-def star(F: DiagramPoly, G: DiagramPoly) -> DiagramPoly:
-    """m o exp(hbar D_W): Wightman contractions from F-legs to G-legs, one
+def _contraction_exp(F: DiagramPoly, G: DiagramPoly, kind) -> DiagramPoly:
+    """m o exp(hbar D_kind): kernel contractions from F-legs to G-legs, one
     power of hbar per edge.  Iterated single contractions; the k-fold layer
     carries hbar^k / k!."""
     hmax = F.orders[0]
@@ -526,62 +475,48 @@ def star(F: DiagramPoly, G: DiagramPoly) -> DiagramPoly:
         for sp, c in pairs:
             total._add(sp.diagram(), c * w)
         pairs = [(sp2, c * cnt) for sp, c in pairs
-                 for sp2, cnt in sp.contract("wightman")]
+                 for sp2, cnt in sp.contract(kind)]
         if not pairs:
             break
     return total
 
 
+def star(F: DiagramPoly, G: DiagramPoly) -> DiagramPoly:
+    """m o exp(hbar D_W): Wightman contractions from F-legs to G-legs."""
+    return _contraction_exp(F, G, "wightman")
+
+
 class _Split:
     """A concatenated diagram remembering the F/G boundary, for mixed-edge
-    generation with correct orientation (W edges point F -> G)."""
+    generation with correct orientation (edges point F -> G)."""
 
-    __slots__ = ("left", "right", "edges", "extra")
+    __slots__ = ("left", "right", "extra")
 
-    def __init__(self, left, right, extra=None):
+    def __init__(self, left, right, extra=()):
         self.left = left
         self.right = right
-        self.extra = tuple(extra or ())  # mixed edges, global indexing
+        self.extra = extra  # mixed edges, indexed in the concatenation
+
+    def _free_legs(self):
+        """u legs left uncontracted at each vertex of the concatenation."""
+        legs = [v.u for v in self.left.verts + self.right.verts]
+        for a, b, _, _ in self.extra:
+            legs[a] -= 1
+            legs[b] -= 1
+        return legs
 
     def diagram(self):
-        n = len(self.left.verts)
-        edges = list(self.left.edges) + \
-            [(a + n, b + n, k, o) for a, b, k, o in self.right.edges] + \
-            list(self.extra)
-        lu, ru = _leg_usage(self)
-        verts = [v.replace(u=v.u - lu.get(i, 0))
-                 for i, v in enumerate(self.left.verts)]
-        verts += [v.replace(u=v.u - ru.get(j, 0))
-                  for j, v in enumerate(self.right.verts)]
-        return Diagram(verts, edges)
+        verts, edges = _concat(self.left, self.right)
+        verts = [v.replace(u=u) for v, u in zip(verts, self._free_legs())]
+        return Diagram(verts, edges + self.extra)
 
     def contract(self, kind):
         n = len(self.left.verts)
-        out = []
-        lverts = self.left.verts
-        rverts = self.right.verts
-        used = _leg_usage(self)
-        for i in range(n):
-            ui = lverts[i].u - used[0].get(i, 0)
-            if ui <= 0:
-                continue
-            for j in range(len(rverts)):
-                uj = rverts[j].u - used[1].get(j, 0)
-                if uj <= 0:
-                    continue
-                out.append((_Split(self.left, self.right,
-                                   self.extra + ((i, n + j, kind, 1),)),
-                            ui * uj))
-        return out
-
-
-def _leg_usage(split):
-    n = len(split.left.verts)
-    lu, ru = {}, {}
-    for a, b, k, o in split.extra:
-        lu[a] = lu.get(a, 0) + 1
-        ru[b - n] = ru.get(b - n, 0) + 1
-    return lu, ru
+        legs = self._free_legs()
+        return [(_Split(self.left, self.right, self.extra + ((i, j, kind, 1),)),
+                 legs[i] * legs[j])
+                for i in range(n) if legs[i] > 0
+                for j in range(n, len(legs)) if legs[j] > 0]
 
 
 def tmap(F: DiagramPoly, inverse=False) -> DiagramPoly:
@@ -599,23 +534,14 @@ def tmap(F: DiagramPoly, inverse=False) -> DiagramPoly:
         for d, c in layer:
             for i in range(len(d.verts)):
                 for res, cnt in _contract_same_vertex(d, i, "feynman"):
-                    _addsplit(nxt, res, c * cnt)
+                    nxt._add(res, c * cnt)
                 for j in range(i + 1, len(d.verts)):
                     for res, cnt in _contract_u_legs(d, i, j, "feynman"):
-                        _addsplit(nxt, res, c * cnt)
+                        nxt._add(res, c * cnt)
         layer = list(nxt.terms.values())
         if not layer:
             break
     return total
-
-
-def _addsplit(poly, res, coeff):
-    if res is None:
-        return
-    if isinstance(res, _NegDiagram):
-        poly._add(res.diag, coeff * Fraction(-1))
-    else:
-        poly._add(res, coeff)
 
 
 def tmap_inv(F: DiagramPoly) -> DiagramPoly:
@@ -625,19 +551,7 @@ def tmap_inv(F: DiagramPoly) -> DiagramPoly:
 def tprod(F: DiagramPoly, G: DiagramPoly) -> DiagramPoly:
     """Time-ordered product T(T^-1 F . T^-1 G): equivalently, exp(hbar
     d_{G^F}) over mixed F-G legs only."""
-    hmax = F.orders[0]
-    total = DiagramPoly(orders=F.orders)
-    pairs = [(_Split(d1, d2), c1 * c2)
-             for d1, c1 in F.terms.values() for d2, c2 in G.terms.values()]
-    for k in range(hmax + 1):
-        w = _hbar_weight(k, F.orders)
-        for sp, c in pairs:
-            total._add(sp.diagram(), c * w)
-        pairs = [(sp2, c * cnt) for sp, c in pairs
-                 for sp2, cnt in sp.contract("feynman")]
-        if not pairs:
-            break
-    return total
+    return _contraction_exp(F, G, "feynman")
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +561,17 @@ def tprod(F: DiagramPoly, G: DiagramPoly) -> DiagramPoly:
 def peierls(F: DiagramPoly, G: DiagramPoly) -> DiagramPoly:
     """Classical Peierls bracket: single Pauli-Jordan contraction between
     F-legs and G-legs."""
-    return _mixed_contraction(F, G, "pauli-jordan", 1)
+    out = DiagramPoly(orders=F.orders)
+    for d1, c1 in F.terms.values():
+        n1 = len(d1.verts)
+        for d2, c2 in G.terms.values():
+            base = Diagram(*_concat(d1, d2), canonicalize=False)
+            for i in range(n1):
+                for j in range(n1, len(base.verts)):
+                    for res, cnt in _contract_u_legs(base, i, j,
+                                                     "pauli-jordan"):
+                        out._add(res, c1 * c2 * cnt)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +731,8 @@ def bv_laplacian(F: DiagramPoly) -> DiagramPoly:
                     out._add(Diagram(verts, list(d.edges)),
                              c * Fraction(sign * count))
                 else:
-                    res = _merge(verts, d.edges, i, j)
-                    _addsplit(out, res, c * Fraction(sign * count))
+                    out._add(_merge(verts, d.edges, i, j),
+                             c * Fraction(sign * count))
     return out
 
 

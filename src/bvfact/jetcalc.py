@@ -21,12 +21,21 @@ def xsym(i: int) -> Symbol:
     return Symbol("x", "x", (i,), 0)
 
 
+def _trim(mu):
+    """The multi-index without trailing zeros: (1, 0) and (1,) name one
+    jet coordinate."""
+    mu = tuple(mu)
+    while mu and mu[-1] == 0:
+        mu = mu[:-1]
+    return mu
+
+
 def jet(name: str, mu=(), grade: int = 0) -> Symbol:
-    return Symbol("jet", name, tuple(mu), grade)
+    return Symbol("jet", name, _trim(mu), grade)
 
 
 def testfn(name: str, mu=()) -> Symbol:
-    return Symbol("tf", name, tuple(mu), 0)
+    return Symbol("tf", name, _trim(mu), 0)
 
 
 def is_jet(s: Symbol) -> bool:
@@ -518,11 +527,11 @@ def evaluate_local(lagform: LagForm, weight, fields, testfns=None,
 
 
 # ---------------------------------------------------------------------------
-# Textual serialization
+# Text syntax
 # ---------------------------------------------------------------------------
 
 def jetexpr_to_text(je: JetExpr) -> str:
-    """Serialize to the textual syntax of `symexpr.to_text`."""
+    """Write `je` in the textual syntax of `symexpr.to_text`."""
     from .symexpr import to_text
     return to_text(je.expr)
 

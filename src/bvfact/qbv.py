@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from .symexpr import Expr, FormalSeries, I
 from .region import Region, Bump, window
-from .freeq import (OscillatorModel, DiagramPoly, Diagram, Vertex, field_obs,
-                    unit, shat0, delta_s0, bv_laplacian, tmap, tmap_inv,
-                    eval_poly, _merge, _addsplit)
+from .freeq import (OscillatorModel, DiagramPoly, field_obs, shat0,
+                    delta_s0, bv_laplacian, tmap, tmap_inv, eval_poly,
+                    _concat, _merge)
 from .jetcalc import is_total_divergence, JetExpr
 from .bvalg import (GenLagrangian, antibracket_density, reduce_cutoff,
                     AF_SUFFIX)
@@ -57,13 +57,10 @@ def diagram_antibracket(A: DiagramPoly, B: DiagramPoly) -> DiagramPoly:
     for d1, c1 in A.terms.values():
         n1 = len(d1.verts)
         for d2, c2 in B.terms.values():
-            verts0 = d1.verts + d2.verts
-            edges0 = list(d1.edges) + [(a + n1, b + n1, k, o)
-                                       for a, b, k, o in d2.edges]
+            verts0, edges0 = _concat(d1, d2)
             coeff = c1 * c2
-            total = len(verts0)
             for i in range(n1):
-                for j in range(n1, total):
+                for j in range(n1, len(verts0)):
                     _ab_term(out, verts0, edges0, i, j, coeff, +1)
                     _ab_term(out, verts0, edges0, j, i, coeff, -1)
     return out
@@ -81,8 +78,7 @@ def _ab_term(out, verts0, edges0, iu, ia, coeff, pref):
     sign = pref
     if sum(verts0[k].au for k in range(ia)) % 2:
         sign = -sign
-    res = _merge(verts, edges0, iu, ia)
-    _addsplit(out, res, coeff * Fraction(sign * count))
+    out._add(_merge(verts, edges0, iu, ia), coeff * Fraction(sign * count))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +177,6 @@ def check_qme(L0: GenLagrangian, LI: GenLagrangian = None, f: Bump = None,
                      for mono, _ in LI.density.expr.terms.items()
                      for s, _ in mono)
         report["orders"][(1, 1)] = not has_af
-        if has_af:
-            report["orders"][(1, 1)] = False  # not renormalized at this level
     if fake_anomaly is not None:
         report["orders"][(1, 1)] = False
         report["fake_anomaly"] = fake_anomaly

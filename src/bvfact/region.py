@@ -72,6 +72,12 @@ class Region:
         self._chk(other)
         return Region(self.boxes + other.boxes, self.dim)
 
+    def intersection(self, other):
+        self._chk(other)
+        return Region([tuple((max(l1, l2), min(h1, h2))
+                             for (l1, h1), (l2, h2) in zip(b1, b2))
+                       for b1 in self.boxes for b2 in other.boxes], self.dim)
+
     def contains_point(self, pt, closed=False):
         pt = tuple(pt) if isinstance(pt, (tuple, list, np.ndarray)) else (pt,)
         for box in self.boxes:
@@ -277,7 +283,8 @@ def _weiss_1d(cover, U, k):
 # serves both, with `_where`, `_any` and `_expf` choosing numpy or math.
 # Children are requested through `ev.rows`, which computes each (node, n,
 # flip) once per evaluation, so a subtree shared inside a tree is evaluated
-# once.
+# once.  A node's `key`, built once from its parameters and its children's
+# keys, names the function it computes: a tag, then the parameters.
 
 def _where(cond, x, y):
     if isinstance(cond, np.ndarray):
@@ -355,15 +362,19 @@ class _Taylor:
 
 
 class Bump:
-    """Smooth function with tracked support, evaluable with derivatives."""
+    """Smooth function with tracked support, evaluable with derivatives.
 
-    _counter = 0
+    `key` is the node tree's structural key: bumps built alike from the same
+    parameters compare equal, whatever their identity or construction order.
+    """
 
     def __init__(self, node, support: Region):
         self.node = node
         self.support = support
-        Bump._counter += 1
-        self.serial = Bump._counter
+
+    @property
+    def key(self):
+        return self.node.key
 
     # evaluation ---------------------------------------------------------
     def values(self, ts, order=0):
@@ -403,8 +414,8 @@ class Bump:
 
     def __mul__(self, other):
         other = _as_bump(other)
-        supp = _support_intersection(self.support, other.support)
-        return Bump(_Prod([self.node, other.node]), supp)
+        return Bump(_Prod([self.node, other.node]),
+                    self.support.intersection(other.support))
 
     def __rmul__(self, c):
         return Bump(_Prod([_Const(float(c)), self.node]), self.support)
@@ -419,17 +430,6 @@ class Bump:
         return "Bump(supp=%r)" % (self.support,)
 
 
-def _support_intersection(a, b):
-    boxes = []
-    for b1 in a.boxes:
-        for b2 in b.boxes:
-            box = tuple((max(l1, l2), min(h1, h2))
-                        for (l1, h1), (l2, h2) in zip(b1, b2))
-            if all(lo < hi for lo, hi in box):
-                boxes.append(box)
-    return Region(boxes, a.dim)
-
-
 def _as_bump(x):
     if isinstance(x, Bump):
         return x
@@ -439,6 +439,7 @@ def _as_bump(x):
 class _Const:
     def __init__(self, c):
         self.c = float(c)
+        self.key = ("c", self.c)
 
     def taylor(self, ev, n, flip):
         return [self.c] + [0.0] * (n - 1)
@@ -449,6 +450,7 @@ class _Poly:
 
     def __init__(self, coeffs):
         self.coeffs = [float(c) for c in coeffs]
+        self.key = ("p",) + tuple(self.coeffs)
 
     def taylor(self, ev, n, flip):
         t = ev.at(flip)
@@ -465,6 +467,7 @@ class _Poly:
 class _Sum:
     def __init__(self, children):
         self.children = children
+        self.key = ("+",) + tuple(ch.key for ch in children)
 
     def taylor(self, ev, n, flip):
         out = ev.rows(self.children[0], n, flip)
@@ -476,6 +479,12 @@ class _Sum:
 class _Prod:
     def __init__(self, children):
         self.children = children
+        # nested products flattened and factors sorted: f*g, g*f and
+        # (f*g)*h = f*(g*h) get one key
+        factors = []
+        for ch in children:
+            factors.extend(ch.key[1:] if ch.key[0] == "*" else [ch.key])
+        self.key = ("*",) + tuple(sorted(factors))
 
     def taylor(self, ev, n, flip):
         out = ev.rows(self.children[0], n, flip)
@@ -498,6 +507,7 @@ class _Quot:
     def __init__(self, num, den):
         self.num = num
         self.den = den
+        self.key = ("/", num.key, den.key)
 
     def taylor(self, ev, n, flip):
         a = ev.rows(self.num, n, flip)
@@ -520,6 +530,7 @@ class _ExpInv:
 
     def __init__(self, arg):
         self.arg = arg
+        self.key = ("e", arg.key)
 
     def taylor(self, ev, n, flip):
         g = ev.rows(self.arg, n, flip)
@@ -585,6 +596,7 @@ class _Deriv:
     def __init__(self, child, k):
         self.child = child
         self.k = k
+        self.key = ("d", k, child.key)
 
     def taylor(self, ev, n, flip):
         k = self.k
@@ -596,6 +608,7 @@ class _Deriv:
 class _Reflect:
     def __init__(self, child):
         self.child = child
+        self.key = ("r", child.key)
 
     def taylor(self, ev, n, flip):
         s = ev.rows(self.child, n, 1 - flip)

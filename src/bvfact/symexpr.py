@@ -128,9 +128,8 @@ def _merge_monomials(m1, m2):
     sign = 1
     out = []
     i = j = 0
-    # odd symbols in m1 not yet passed, counted from the right
-    odd_tail = [s.odd for s, _ in m1]
-    odd_remaining = sum(odd_tail)
+    # odd symbols in m1 not yet passed
+    odd_remaining = sum(s.odd for s, _ in m1)
     while i < len(m1) and j < len(m2):
         s1, e1 = m1[i]
         s2, e2 = m2[j]
@@ -354,9 +353,7 @@ class Expr:
         parts = []
         for mono in sorted(self.terms, key=lambda m: ([s.key() for s, _ in m], )):
             c = self.terms[mono]
-            factors = [repr(c)] if c != ONE or not mono else ([] if mono else [repr(c)])
-            if c == ONE and mono:
-                factors = []
+            factors = [] if c == ONE and mono else [repr(c)]
             for s, e in mono:
                 factors.append(repr(s) + ("^%d" % e if e > 1 else ""))
             parts.append("*".join(factors) if factors else repr(c))

@@ -7,11 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvfact.freeq import (OscillatorModel, green, green_defect, pair_kernel,
                           unit, field_obs, star, tmap, tmap_inv, tprod,
                           peierls, eval_poly, delta_s0, bv_laplacian, shat0)
-from bvfact.region import mollifier
+from bvfact.region import mollifier, window
 from bvfact.numfields import Poly1D, Harmonic1D
 
 MODEL = OscillatorModel(omega=1)
@@ -197,6 +198,20 @@ class TestFreeQuantumDifferential:
         assert not L.is_zero()
 
 
+_QUARTERS = st.integers(-4, 4).map(lambda k: Fraction(k, 4))
+
+
+@st.composite
+def _bump_specs(draw):
+    """Parameters of a mollifier or a window, to build the bump twice."""
+    c = draw(_QUARTERS)
+    if draw(st.booleans()):
+        return (mollifier, c, draw(st.sampled_from([Fraction(1, 4),
+                                                    Fraction(1, 2)])))
+    return (window, c, c + Fraction(1, 4), c + Fraction(1, 2),
+            c + Fraction(3, 4))
+
+
 class TestCanonicalForm:
     def test_odd_squares_vanish(self):
         # u~ is odd, so a product of two equal odd vertices is its own
@@ -215,3 +230,46 @@ class TestCanonicalForm:
         P = field_obs(smoothstep(0, 1)) * field_obs(
             mollifier(0, Fraction(1, 2)))
         assert not P.is_zero()
+
+    def test_equal_bumps_cancel(self):
+        # two bumps built alike are one weight, whatever their identity
+        a = field_obs(mollifier(0, Fraction(1, 2)))
+        b = field_obs(mollifier(0, Fraction(1, 2)))
+        assert (a - b).is_zero()
+
+    def test_odd_square_of_equal_weights_vanishes(self):
+        A = field_obs(mollifier(0, Fraction(1, 2)), afpower=1)
+        B = field_obs(mollifier(0, Fraction(1, 2)), afpower=1)
+        assert (A * B).is_zero()
+
+    def test_merged_weights_associative(self):
+        from bvfact.qbv import diagram_antibracket
+        f, g, h = F_BUMP, mollifier(Fraction(3, 4), Fraction(1, 2)), \
+            mollifier(Fraction(1, 4), Fraction(1, 2))
+        # the fused vertex carries (f g) h on one side, f (h g) on the other
+        lap1 = bv_laplacian(field_obs(f * g) * field_obs(h, power=0,
+                                                          afpower=1))
+        lap2 = bv_laplacian(field_obs(f) * field_obs(h * g, power=0,
+                                                     afpower=1))
+        assert not lap1.is_zero()
+        assert lap1 == lap2
+        br1 = diagram_antibracket(field_obs(f * g, power=2),
+                                  field_obs(h, afpower=1))
+        br2 = diagram_antibracket(field_obs(f, power=2),
+                                  field_obs(g * h, afpower=1))
+        assert not br1.is_zero()
+        assert br1 == br2
+
+    @settings(max_examples=25, deadline=None)
+    @given(_bump_specs(), _bump_specs(), st.integers(1, 2),
+           st.integers(1, 2))
+    def test_equal_bumps_equal_products(self, fs, gs, p, q):
+        def build():
+            return (field_obs(fs[0](*fs[1:]), power=p),
+                    field_obs(gs[0](*gs[1:]), power=q))
+        F1, G1 = build()
+        F2, G2 = build()
+        assert F1 * G1 == F2 * G2
+        assert F1 * G1 == G2 * F2
+        assert star(F1, G1) == star(F2, G2)
+        assert tprod(F1, G1) == tprod(F2, G2)

@@ -202,3 +202,9 @@ class TestTextRoundtrip:
             je = parse_jetexpr(text)
             je2 = parse_jetexpr(jetexpr_to_text(je))
             assert (je - je2).is_zero()
+
+    def test_trailing_zero_indices(self):
+        # u.d[1,0] and u.d[1] both name d_0 u
+        assert parse_jetexpr("u.d[1,0] - u.d[1]", dim=2).is_zero()
+        assert jet("u", (0, 2, 0)) == jet("u", (0, 2))
+        assert tfn("f", (0,)) == tfn("f")
