@@ -9,7 +9,7 @@ symmetrization absorbs).
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from .symexpr import Expr, QI, FormalSeries
 from .jetcalc import JetExpr, LagForm, evaluate_local
@@ -59,7 +59,7 @@ class MLTerm:
         return tuple(s.expr.homogeneous_grade() for s in self.slots)
 
     def key(self):
-        return tuple((s.expr, id(w)) for s, w in zip(self.slots, self.weights))
+        return tuple((s.expr, w.key) for s, w in zip(self.slots, self.weights))
 
     def support(self, dim=1):
         reg = Region.empty(dim)
@@ -77,7 +77,7 @@ def _series(c, orders):
 class MultilocalObs:
     """S_m-symmetrized multilocal observable over a region."""
 
-    def __init__(self, terms, region: Region, orders=(3, 2), symmetrize=True):
+    def __init__(self, terms, region: Region, orders=(3, 2)):
         self.region = region
         self.orders = tuple(orders)
         self.constant = FormalSeries.const(0, self.orders)
@@ -105,9 +105,6 @@ class MultilocalObs:
                 slots = tuple(JetExpr(e, term.slots[0].dim) for e in slot_exprs)
                 grades = tuple(s.expr.homogeneous_grade() for s in slots)
                 m = len(slots)
-                if not symmetrize:
-                    _add(MLTerm(slots, term.weights, coeff))
-                    continue
                 inv = Fraction(1, math.factorial(m))
                 for perm in permutations(range(m)):
                     sgn = _perm_sign(perm, grades)
@@ -285,7 +282,9 @@ def weiss_decompose(F: MultilocalObs, cover, max_rounds=6):
     Returns a list of (MultilocalObs, cover index).  Uses a partition of
     unity on a refinement of the cover; the refinement is halved until every
     assignment tuple fits inside one cover element, which terminates for a
-    Weiss cover at the arity of F.
+    Weiss cover at the arity of F.  A product psi_k * w whose two supports
+    are disjoint vanishes identically and is not emitted, and a piece left
+    with no terms is omitted.
     """
     from .region import partition_of_unity, is_weiss_cover
 
@@ -320,7 +319,7 @@ def weiss_decompose(F: MultilocalObs, cover, max_rounds=6):
         containers = [[j for j in range(pieces)
                        if cover[j].contains_region(small[k])]
                       for k in range(n)]
-        assignment = _assign(F, psis, containers, small, pieces)
+        assignment = _assign(F, psis, containers, pieces)
         if assignment is not None:
             return assignment
     # produce a witness: a tuple of small-interval midpoints with no common
@@ -329,31 +328,36 @@ def weiss_decompose(F: MultilocalObs, cover, max_rounds=6):
                                   "to fit the cover", witness=None)
 
 
-def _assign(F, psis, containers, small, pieces):
-    from itertools import product as iproduct
-
+def _assign(F, psis, containers, pieces):
+    sets = [set(c) for c in containers]
     buckets = {j: [] for j in range(pieces)}
-    const_done = False
+    products = {}
     for t in F.terms:
-        m = t.degree
-        for combo in iproduct(range(len(psis)), repeat=m):
-            common = set(containers[combo[0]])
-            for k in combo[1:]:
-                common &= set(containers[k])
+        # (k, psi_k * w) for the k whose support meets w's: the other
+        # products vanish identically
+        factors = []
+        for w in t.weights:
+            if w.key not in products:
+                products[w.key] = [(k, psi * w) for k, psi in enumerate(psis)
+                                   if psi.support.intersects(w.support)]
+            factors.append(products[w.key])
+        for combo in product(*factors):
+            common = set.intersection(*(sets[k] for k, _ in combo))
             if not common:
                 return None
-            j = min(common)
-            weights = tuple(psis[k] * w for k, w in zip(combo, t.weights))
-            buckets[j].append(MLTerm(t.slots, weights, t.coeff))
+            buckets[min(common)].append(
+                MLTerm(t.slots, tuple(pw for _, pw in combo), t.coeff))
     out = []
     for j in range(pieces):
-        terms = buckets[j]
-        if not terms and (const_done or F.constant.is_zero() or j != 0):
+        has_const = j == 0 and not F.constant.is_zero()
+        if not buckets[j] and not has_const:
             continue
-        obs = MultilocalObs(terms, F.region, F.orders, symmetrize=False)
-        if j == 0 and not F.constant.is_zero():
+        # F's slots are graded and no two combos share a key, so the
+        # pieces skip the normalisation of MultilocalObs.__init__
+        obs = MultilocalObs([], F.region, F.orders)
+        obs.terms = buckets[j]
+        if has_const:
             obs.constant = F.constant
-            const_done = True
         out.append((obs, j))
     return out
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvfact.symexpr import Expr, QI
 from bvfact.jetcalc import JetExpr, jet, _density_value
@@ -166,3 +167,57 @@ class TestWeissDecomposition:
         with pytest.raises(WeissDecompositionError) as ei:
             weiss_decompose(F, bad)
         assert ei.value.witness is not None
+
+
+class TestStructuralKeys:
+    def test_equal_weights_built_apart_compare_equal(self):
+        def build():
+            return MultilocalObs(
+                [MLTerm([U, U], [mollifier(0, Fraction(1, 2)),
+                                 mollifier(0, Fraction(1, 2))], 1)],
+                Region.interval(-1, 1))
+        a, b = build(), build()
+        assert len(a.terms) == 1 and len(b.terms) == 1
+        assert a == b
+
+
+def _degree2(c1, r1, c2, r2):
+    return MultilocalObs([MLTerm((U2, U), (mollifier(c1, r1),
+                                           mollifier(c2, r2)), 1)],
+                         Region.interval(0, 1))
+
+
+class TestWeissPieces:
+    def test_no_weight_with_empty_support(self):
+        F = _degree2(Fraction(1, 3), Fraction(1, 4),
+                     Fraction(2, 3), Fraction(1, 4))
+        parts = weiss_decompose(F, GOOD_COVER)
+        assert parts
+        assert all(not w.support.is_empty()
+                   for p, _ in parts for t in p.terms for w in t.weights)
+
+    def test_piece_support_inside_its_cover_element(self):
+        F = _degree2(Fraction(1, 4), Fraction(1, 5),
+                     Fraction(3, 4), Fraction(1, 5))
+        parts = weiss_decompose(F, GOOD_COVER)
+        for p, j in parts:
+            assert p.terms
+            assert GOOD_COVER[j].contains_region(p.support())
+
+    # centres in [1/4, 3/4] and radii in [1/20, 1/5], in twentieths, so
+    # every closed support lies inside (0, 1); points as offsets in
+    # units of each weight's radius
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(5, 15), st.integers(1, 4),
+           st.integers(5, 15), st.integers(1, 4),
+           st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+                    min_size=3, max_size=3))
+    def test_pieces_reproduce_kernel(self, c1, r1, c2, r2, offsets):
+        c1, r1, c2, r2 = (Fraction(v, 20) for v in (c1, r1, c2, r2))
+        F = _degree2(c1, r1, c2, r2)
+        parts = weiss_decompose(F, GOOD_COVER)
+        for a, b in offsets:
+            pts = (float(c1 + r1 * a), float(c2 + r2 * b))
+            ref = symmetrized_kernel(F, pts, FIELDS)
+            got = sum(symmetrized_kernel(p, pts, FIELDS) for p, _ in parts)
+            assert abs(got - ref) < 1e-10
