@@ -13,7 +13,7 @@ base indices; antisymmetry is absorbed into the sorted keys.
 
 from __future__ import annotations
 
-from .symexpr import Expr, Symbol, QI
+from .symexpr import Expr, Symbol, QI, _add_into, _merge_monomials
 from .quadrature import QuadratureError
 
 
@@ -129,19 +129,31 @@ class JetExpr:
 
 
 def total_derivative(f: JetExpr, i: int) -> JetExpr:
-    """Total derivative D_i: chain rule through base, jet and test symbols."""
+    """Total derivative D_i: chain rule through base, jet and test symbols.
+
+    D_i is an even derivation, D_i f = sum_s (d^R f/ds) s', where s' is the
+    prolonged symbol (1 for x_i, 0 for the other base coordinates).  The
+    right partials come from one pass over f's terms (`Expr.dright`), and
+    each product (d^R f/ds) s' is merged term by term into one sum.
+    """
     if not 0 <= i < f.dim:
         raise IndexError("base index %d out of range for dim %d" % (i, f.dim))
-    out = Expr.zero()
+    acc = {}
     for s in f.expr.symbols():
         if s.ns == "x":
             if s.index[0] == i:
-                out = out + f.expr.dright(s)
-        else:
-            # even derivation on a graded algebra: D f = sum_s (d^R f/ds) s'
-            prolonged = Symbol(s.ns, s.name, _bump_index(s.index, i), s.grade)
-            out = out + f.expr.dright(s) * Expr.sym(prolonged)
-    return JetExpr(out, f.dim)
+                _add_into(acc, f.expr.dright(s).terms)
+            continue
+        prolonged = ((Symbol(s.ns, s.name, _bump_index(s.index, i),
+                             s.grade), 1),)
+        # distinct monomials times one symbol stay distinct
+        terms = {}
+        for mono, c in f.expr.dright(s).terms.items():
+            sign, m = _merge_monomials(mono, prolonged)
+            if sign:
+                terms[m] = c if sign > 0 else -c
+        _add_into(acc, terms)
+    return JetExpr(Expr(acc), f.dim)
 
 
 def total_derivative_multi(f: JetExpr, mu) -> JetExpr:

@@ -1,7 +1,7 @@
 """Graded-commutative polynomial core with exact coefficients and formal series.
 
 Expressions are finite sums of monomials in graded symbols.  Coefficients are
-Gaussian rationals (exact real and imaginary Fraction parts); floats appear
+Gaussian rationals, stored as integer triples (a + b*i)/d; floats appear
 only when an expression is numerically evaluated.  Canonical form: monomials
 are stored sorted by symbol key, odd symbols square to zero, zero coefficients
 are dropped.  Two expressions are equal iff their term dicts are equal.
@@ -9,111 +9,232 @@ are dropped.  Two expressions are equal iff their term dicts are equal.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import numbers
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 
 class QI:
-    """Gaussian rational: re + im*i with Fraction parts."""
+    """Gaussian rational (a + b*i)/d with integers a, b, d.
 
-    __slots__ = ("re", "im")
+    The triple is canonical: d > 0 and gcd(a, b, d) == 1, so equal values
+    have equal triples.  `re` and `im` read the parts back as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        dr, di = re.denominator, im.denominator
+        # with both parts reduced, their common denominator leaves
+        # gcd(a, b, d) == 1
+        d = dr * di // math.gcd(dr, di)
+        self.a = re.numerator * (d // dr)
+        self.b = im.numerator * (d // di)
+        self.d = d
 
     @staticmethod
     def of(x):
         if isinstance(x, QI):
             return x
-        if isinstance(x, complex):
-            return QI(Fraction(x.real), Fraction(x.imag))
-        return QI(x)
+        q = _coerce(x)
+        return QI(x) if q is None else q
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        other = QI.of(other)
-        return QI(self.re + other.re, self.im + other.im)
+        if type(other) is not QI:
+            if type(other) is int:
+                return _qi(self.a + other * self.d, self.b, self.d)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            if d1 == 1:
+                return _qi(self.a + other.a, self.b + other.b, 1)
+            return _reduced(self.a + other.a, self.b + other.b, d1)
+        return _reduced(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1,
+                        d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _qi(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        return self + (-QI.of(other))
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return QI.of(other) + (-self)
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
-        other = QI.of(other)
-        return QI(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        if type(other) is not QI:
+            if type(other) is int:
+                if other == 1:
+                    return self
+                if other == -1:
+                    return _qi(-self.a, -self.b, self.d)
+                g = math.gcd(other, self.d)
+                return _qi(self.a * (other // g), self.b * (other // g),
+                           self.d // g)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        if b1 == 0 and b2 == 0:
+            a, b = a1 * a2, 0
+        else:
+            a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        d = self.d * other.d
+        return _qi(a, b, 1) if d == 1 else _reduced(a, b, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = QI.of(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        a2, b2 = other.a, other.b
+        n = a2 * a2 + b2 * b2
+        if n == 0:
             raise ZeroDivisionError("division by zero QI")
-        return QI((self.re * other.re + self.im * other.im) / d,
-                  (self.im * other.re - self.re * other.im) / d)
+        # (a1 + b1 i) / d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
+        a1, b1 = self.a, self.b
+        return _reduced((a1 * a2 + b1 * b2) * other.d,
+                        (b1 * a2 - a1 * b2) * other.d, self.d * n)
 
     def __eq__(self, other):
-        try:
-            other = QI.of(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not QI:
+            if type(other) is int:
+                return self.b == 0 and self.d == 1 and self.a == other
+            try:
+                other = _coerce(other)
+            except (ValueError, OverflowError):  # a nan or infinite float
+                return False
+            if other is None:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.a != 0 or self.b != 0
 
     def conj(self):
-        return QI(self.re, -self.im)
+        return _qi(self.a, -self.b, self.d)
 
     def to_complex(self):
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
-        if self.im == 0:
+        if self.b == 0:
             return str(self.re)
-        if self.re == 0:
+        if self.a == 0:
             return "%s*I" % self.im
         return "(%s+%s*I)" % (self.re, self.im)
 
 
-I = QI(0, 1)
-ONE = QI(1)
-ZERO = QI(0)
+def _qi(a, b, d):
+    """QI from a triple that is already canonical."""
+    q = object.__new__(QI)
+    q.a, q.b, q.d = a, b, d
+    return q
 
 
-@dataclass(frozen=True, order=True)
+def _reduced(a, b, d):
+    """QI from a triple with d > 0, divided by gcd(a, b, d)."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _qi(a, b, d)
+
+
+def _coerce(x):
+    """x as a QI, or None when x is not a number."""
+    if isinstance(x, QI):
+        return x
+    if isinstance(x, int):
+        return _qi(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _qi(x.numerator, 0, x.denominator)
+    if isinstance(x, complex):
+        return QI(Fraction(x.real), Fraction(x.imag))
+    if isinstance(x, (float, numbers.Rational)):
+        return QI(x)
+    return None
+
+
+I = _qi(0, 1, 1)
+ONE = _qi(1, 0, 1)
+ZERO = _qi(0, 0, 1)
+
+
+@functools.total_ordering
 class Symbol:
     """Graded symbol, keyed by (namespace, name, index).
 
     The namespace keeps symbols from different modules apart; index is a
     multi-index tuple (e.g. derivative orders).  grade is the cohomological
     degree; odd grade means the symbol anticommutes with other odd symbols.
+
+    Symbols are interned: there is one object per (ns, name, index, grade),
+    so equality and hash are the object's identity, which Python computes
+    in C.  `key()` and `odd` are computed once; symbols order by
+    (ns, name, index, grade).
     """
 
-    ns: str
-    name: str
-    index: tuple = ()
-    grade: int = 0
+    __slots__ = ("ns", "name", "index", "grade", "odd", "_key", "_order")
+    _interned = {}
 
-    @property
-    def odd(self):
-        return self.grade % 2 == 1
+    def __new__(cls, ns, name, index=(), grade=0):
+        order = (ns, name, index, grade)
+        s = cls._interned.get(order)
+        if s is None:
+            s = object.__new__(cls)
+            set_ = object.__setattr__
+            set_(s, "ns", ns)
+            set_(s, "name", name)
+            set_(s, "index", index)
+            set_(s, "grade", grade)
+            set_(s, "odd", grade % 2 == 1)
+            set_(s, "_key", (ns, name, index))
+            set_(s, "_order", order)
+            # setdefault is atomic, so racing threads still share one object
+            s = cls._interned.setdefault(order, s)
+        return s
+
+    def __setattr__(self, attr, value):
+        raise AttributeError("Symbol is immutable")
+
+    def __reduce__(self):
+        return Symbol, self._order
 
     def key(self):
-        return (self.ns, self.name, self.index)
+        return self._key
+
+    def __lt__(self, other):
+        if type(other) is not Symbol:
+            return NotImplemented
+        return self._order < other._order
 
     def __repr__(self):
         idx = "" if not self.index else ".d%s" % (list(self.index),)
@@ -125,15 +246,23 @@ class Symbol:
 
 def _merge_monomials(m1, m2):
     """Merge two sorted monomials; return (sign, monomial) or (0, None)."""
+    if not m1:
+        return 1, m2
+    if not m2:
+        return 1, m1
     sign = 1
     out = []
     i = j = 0
+    n1, n2 = len(m1), len(m2)
     # odd symbols in m1 not yet passed
-    odd_remaining = sum(s.odd for s, _ in m1)
-    while i < len(m1) and j < len(m2):
+    odd_remaining = 0
+    for s, _ in m1:
+        if s.odd:
+            odd_remaining += 1
+    while i < n1 and j < n2:
         s1, e1 = m1[i]
         s2, e2 = m2[j]
-        k1, k2 = s1.key(), s2.key()
+        k1, k2 = s1._key, s2._key
         if k1 < k2:
             out.append((s1, e1))
             if s1.odd:
@@ -159,11 +288,12 @@ def _merge_monomials(m1, m2):
 class Expr:
     """Canonical graded-commutative polynomial."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_partials")
 
     def __init__(self, terms=None):
-        # terms: dict monomial -> QI, already canonical
+        # terms: dict monomial -> QI, already canonical; never mutated
         self.terms = terms or {}
+        self._partials = None  # {right: {symbol: partial}}, on demand
 
     # ---- constructors -------------------------------------------------
     @staticmethod
@@ -186,21 +316,19 @@ class Expr:
             c = QI.of(c)
             if not c:
                 continue
-            acc[mono] = acc.get(mono, ZERO) + c
-            if not acc[mono]:
-                del acc[mono]
+            v = acc.get(mono)
+            if v is not None:
+                c = v + c
+                if not c:
+                    del acc[mono]
+                    continue
+            acc[mono] = c
         return Expr(acc)
 
     # ---- ring operations ---------------------------------------------
     def __add__(self, other):
-        other = _as_expr(other)
         acc = dict(self.terms)
-        for m, c in other.terms.items():
-            v = acc.get(m, ZERO) + c
-            if v:
-                acc[m] = v
-            elif m in acc:
-                del acc[m]
+        _add_into(acc, _as_expr(other).terms)
         return Expr(acc)
 
     __radd__ = __add__
@@ -222,11 +350,14 @@ class Expr:
                 sgn, m = _merge_monomials(m1, m2)
                 if sgn == 0:
                     continue
-                v = acc.get(m, ZERO) + c1 * c2 * sgn
-                if v:
-                    acc[m] = v
-                elif m in acc:
-                    del acc[m]
+                c = c1 * c2 if sgn > 0 else -(c1 * c2)
+                v = acc.get(m)
+                if v is not None:
+                    c = v + c
+                    if not c:
+                        del acc[m]
+                        continue
+                acc[m] = c
         return Expr(acc)
 
     __rmul__ = __mul__
@@ -239,8 +370,9 @@ class Expr:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -286,54 +418,38 @@ class Expr:
     # ---- calculus -----------------------------------------------------
     def dleft(self, s: Symbol):
         """Left partial derivative with respect to symbol s."""
-        acc = []
-        for mono, c in self.terms.items():
-            gsum = 0
-            for k, (t, e) in enumerate(mono):
-                if t == s:
-                    sign = -1 if (s.odd and gsum % 2 == 1) else 1
-                    rest = list(mono)
-                    if e == 1:
-                        del rest[k]
-                    else:
-                        rest[k] = (t, e - 1)
-                    acc.append((tuple(rest), c * e * sign))
-                    break
-                gsum += t.grade * e
-        return Expr.from_terms(acc)
+        return self._partial(s, False)
 
     def dright(self, s: Symbol):
         """Right partial derivative with respect to symbol s."""
-        acc = []
-        for mono, c in self.terms.items():
-            for k, (t, e) in enumerate(mono):
-                if t == s:
-                    gafter = sum(u.grade * f for u, f in mono[k + 1:])
-                    sign = -1 if (s.odd and (gafter + (e - 1) * s.grade) % 2 == 1) else 1
-                    rest = list(mono)
-                    if e == 1:
-                        del rest[k]
-                    else:
-                        rest[k] = (t, e - 1)
-                    acc.append((tuple(rest), c * e * sign))
-                    break
-        return Expr.from_terms(acc)
+        return self._partial(s, True)
+
+    def _partial(self, s, right):
+        # all partials of one side come from one pass, kept for the next call
+        cache = self._partials
+        if cache is None:
+            cache = self._partials = {}
+        ps = cache.get(right)
+        if ps is None:
+            ps = cache[right] = _all_partials(self, right)
+        p = ps.get(s)
+        return Expr.zero() if p is None else p
 
     def subs(self, table: Mapping[Symbol, "Expr"]):
         """Substitute symbols by expressions (even symbols and odd symbols
-        replaced by same-grade expressions)."""
-        out = Expr.zero()
+        replaced by same-grade expressions).  Substitution of odd symbols
+        by odd expressions is consistent because multiplication re-sorts
+        with Koszul signs."""
+        acc = {}
         for mono, c in self.terms.items():
             term = Expr.const(c)
             for s, e in mono:
                 rep = table.get(s)
-                if rep is None:
-                    rep = Expr.sym(s)
-                term = term * rep ** e
-        # note: substitution of odd symbols by odd expressions is consistent
-        # because multiplication re-sorts with Koszul signs
-            out = out + term
-        return out
+                # (s, e) is a factor of a canonical monomial
+                term = term * (Expr({((s, e),): ONE}) if rep is None
+                               else rep ** e)
+            _add_into(acc, term.terms)
+        return Expr(acc)
 
     def evalf(self, assign: Mapping[Symbol, complex]) -> complex:
         """Numeric evaluation; every symbol present must be assigned."""
@@ -358,6 +474,52 @@ class Expr:
                 factors.append(repr(s) + ("^%d" % e if e > 1 else ""))
             parts.append("*".join(factors) if factors else repr(c))
         return " + ".join(parts)
+
+
+def _all_partials(expr, right):
+    """{symbol: left partial derivative} of expr in one pass over its terms,
+    or the right partials when `right`.  Symbols whose partial vanishes are
+    absent.
+
+    The factor s^e of a monomial gives e * sign * c on it with s^e lowered;
+    an odd s (e == 1) moves past the factors before it, or after it when
+    `right`.  Distinct monomials lower to distinct ones, so there is
+    nothing to collect.
+    """
+    acc = {}
+    for mono, c in expr.terms.items():
+        total = 0
+        for t, e in mono:
+            total += t.grade * e
+        gbefore = 0
+        for k, (s, e) in enumerate(mono):
+            v = c
+            if s.odd and (total - gbefore - 1 if right else gbefore) % 2 == 1:
+                v = -c
+            if e > 1:
+                v = v * e
+            acc.setdefault(s, {})[_lowered(mono, k, e)] = v
+            gbefore += s.grade * e
+    return {s: Expr(terms) for s, terms in acc.items()}
+
+
+def _add_into(acc, terms):
+    """Add the term dict `terms` into the term dict `acc`, in place."""
+    for m, c in terms.items():
+        v = acc.get(m)
+        if v is not None:
+            c = v + c
+            if not c:
+                del acc[m]
+                continue
+        acc[m] = c
+
+
+def _lowered(mono, k, e):
+    """mono with the exponent of its k-th factor, e, lowered by one."""
+    if e == 1:
+        return mono[:k] + mono[k + 1:]
+    return mono[:k] + ((mono[k][0], e - 1),) + mono[k + 1:]
 
 
 def _as_expr(x):
@@ -386,10 +548,6 @@ class FormalSeries:
     @staticmethod
     def const(c, orders=(3, 2)):
         return FormalSeries({(0, 0): Expr.const(c)}, orders)
-
-    @staticmethod
-    def of_expr(e, orders=(3, 2), hbar=0, lam=0):
-        return FormalSeries({(hbar, lam): _as_expr(e)}, orders)
 
     def __getitem__(self, pq):
         return self.coeffs.get(tuple(pq), Expr.zero())

@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bvfact.symexpr import Expr, QI
+from bvfact.symexpr import Expr, QI, Symbol
 from bvfact.jetcalc import (jet, JetExpr, LagForm, total_derivative,
                             horizontal_diff, euler_lagrange,
                             euler_lagrange_density, is_total_divergence,
@@ -208,3 +209,88 @@ class TestTextRoundtrip:
         assert parse_jetexpr("u.d[1,0] - u.d[1]", dim=2).is_zero()
         assert jet("u", (0, 2, 0)) == jet("u", (0, 2))
         assert tfn("f", (0,)) == tfn("f")
+
+
+# ---------------------------------------------------------------------------
+# The total derivative against the per-symbol chain rule and against the
+# Leibniz rule on each monomial
+# ---------------------------------------------------------------------------
+
+def _td_per_symbol(f, i):
+    """D_i f = sum_s (d^R f/ds) s', one right derivative per symbol."""
+    out = Expr.zero()
+    for s in f.expr.symbols():
+        if s.ns == "x":
+            if s.index[0] == i:
+                out = out + f.expr.dright(s)
+            continue
+        mu = list(s.index) + [0] * (i + 1 - len(s.index))
+        mu[i] += 1
+        out = out + f.expr.dright(s) * Expr.sym(
+            Symbol(s.ns, s.name, tuple(mu), s.grade))
+    return out
+
+
+def _td_leibniz(f, i):
+    """D_i f by the Leibniz rule of the even derivation D_i: each factor s^e
+    of a monomial, in place, becomes e s^(e-1) s'; no partial derivative."""
+    def prolonged(s):
+        if s.ns == "x":
+            return Expr.const(1 if s.index[0] == i else 0)
+        mu = list(s.index) + [0] * (i + 1 - len(s.index))
+        mu[i] += 1
+        return Expr.sym(Symbol(s.ns, s.name, tuple(mu), s.grade))
+
+    out = Expr.zero()
+    for mono, c in f.expr.terms.items():
+        for k, (s, e) in enumerate(mono):
+            term = Expr.const(c)
+            for t, g in mono[:k]:
+                term = term * Expr.sym(t) ** g
+            term = term * (e * Expr.sym(s) ** (e - 1) * prolonged(s))
+            for t, g in mono[k + 1:]:
+                term = term * Expr.sym(t) ** g
+            out = out + term
+    return out
+
+
+def _td_symbols(dim):
+    idx = [()] + [tuple(k) for k in ([1], [2], [0, 1], [1, 1], [0, 2])
+                  if len(k) <= dim]
+    out = [xsym(j) for j in range(dim)]
+    for mu in idx:
+        out += [jet("u", mu), jet("c", mu, -1), jet("u~", mu, 1),
+                jet("c~", mu, 2), tfn("f", mu)]
+    return out
+
+
+@st.composite
+def _densities(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    pool = _td_symbols(dim)
+    e = Expr.zero()
+    for _ in range(draw(st.integers(1, 5))):
+        m = Expr.const(QI(draw(st.integers(-3, 3)), draw(st.integers(-2, 2))))
+        for _ in range(draw(st.integers(1, 4))):
+            m = m * Expr.sym(draw(st.sampled_from(pool))) ** \
+                draw(st.integers(1, 3))
+        e = e + m
+    return JetExpr(e, dim)
+
+
+class TestTotalDerivativeChainRule:
+    @given(_densities())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_symbol_chain_rule(self, f):
+        for i in range(f.dim):
+            got = total_derivative(f, i).expr
+            assert got == _td_per_symbol(f, i)
+            assert got == _td_leibniz(f, i)
+
+    def test_odd_factors_and_powers(self):
+        u, c, cb = jet("u"), jet("c", (), -1), jet("cb", (), -1)
+        f = JetExpr(Expr.sym(c) * Expr.sym(u) ** 3 * Expr.sym(cb)
+                    * Expr.sym(xsym(0)) ** 2, 1)
+        got = total_derivative(f, 0)
+        assert got.expr == _td_per_symbol(f, 0) == _td_leibniz(f, 0)
+        assert not got.is_zero()

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from bvfact import jetcalc, quadrature
@@ -86,6 +86,9 @@ def ref_series(node, t, n):
         g = ref_series(node.arg, t, n)
         if g[0] <= 0:
             return np.zeros(n)
+        if math.exp(-1.0 / g[0]) == 0.0:
+            # exp(-1/g) has underflowed to 0, and so has every derivative
+            return np.zeros(n)
         one = np.zeros(n)
         one[0] = 1.0
         return _ref_exp(-_ref_div(one, g))
@@ -135,6 +138,9 @@ class TestBumpValues:
                     min_size=1, max_size=4),
            st.lists(st.floats(0, 1), min_size=1, max_size=4),
            st.lists(st.floats(-2, 2), max_size=4))
+    @example((mollifier(0, Fraction(1, 4)) * smoothstep(Fraction(-1, 8), 0),
+              [Fraction(-1, 4), Fraction(1, 4)]),
+             2, [0.0], [0.5], [-1.0017e-256])
     def test_values_match_scalar_series(self, bump, order, offsets, inner,
                                         extra):
         b, edges = bump

@@ -137,3 +137,196 @@ class TestTextualSyntax:
     def test_parse_error(self):
         with pytest.raises(Exception):
             parse_expr("u + + v")
+
+
+# ---------------------------------------------------------------------------
+# The integer-triple QI against a (Fraction, Fraction) reference
+# ---------------------------------------------------------------------------
+
+class _RefQI:
+    """Reference Gaussian rational: a pair of Fractions."""
+
+    def __init__(self, re, im):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return _RefQI(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return _RefQI(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return _RefQI(self.re * o.re - self.im * o.im,
+                      self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        n = o.re * o.re + o.im * o.im
+        if n == 0:
+            raise ZeroDivisionError
+        return _RefQI((self.re * o.re + self.im * o.im) / n,
+                      (self.im * o.re - self.re * o.im) / n)
+
+    def conj(self):
+        return _RefQI(self.re, -self.im)
+
+    def parts(self):
+        return (self.re, self.im)
+
+
+_parts = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+_scalars = st.one_of(st.integers(-6, 6),
+                     st.fractions(min_value=-6, max_value=6,
+                                  max_denominator=9))
+
+
+def _same(q, ref):
+    """q has ref's value and a canonical triple."""
+    canonical = q.d > 0 and math.gcd(q.a, q.b, q.d) == 1
+    return canonical and (q.re, q.im) == ref.parts()
+
+
+class TestIntegerTripleQI:
+    @given(_parts, _parts, _parts, _parts, _scalars)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_pairs(self, ar, ai, br, bi, k):
+        a, b = QI(ar, ai), QI(br, bi)
+        ra, rb = _RefQI(ar, ai), _RefQI(br, bi)
+        rk = _RefQI(k, 0)
+        assert _same(a, ra)
+        assert _same(a + b, ra + rb) and _same(a - b, ra - rb)
+        assert _same(a * b, ra * rb) and _same(a.conj(), ra.conj())
+        assert _same(-a, _RefQI(0, 0) - ra)
+        # int and Fraction operands, on either side
+        assert _same(a + k, ra + rk) and _same(k + a, rk + ra)
+        assert _same(a - k, ra - rk) and _same(k - a, rk - ra)
+        assert _same(a * k, ra * rk) and _same(k * a, rk * ra)
+        for x, rx in ((a, ra), (b, rb), (k, rk)):
+            if rx.parts() == (0, 0):
+                with pytest.raises(ZeroDivisionError):
+                    a / x
+                with pytest.raises(ZeroDivisionError):
+                    ra / rx
+            else:
+                assert _same(a / x, ra / rx)
+        assert (a == b) == (ra.parts() == rb.parts())
+        assert (a == k) == (ra.parts() == rk.parts())
+        assert bool(a) == (ra.parts() != (0, 0))
+        assert a != b or hash(a) == hash(b)
+
+    @given(_parts, _parts, _parts, _parts)
+    @settings(max_examples=100, deadline=None)
+    def test_one_value_built_two_ways(self, ar, ai, br, bi):
+        a, b = QI(ar, ai), QI(br, bi)
+        direct = QI(ar, ai)
+        via_parts = QI(ar) + I * QI(ai)
+        assert via_parts == direct and hash(via_parts) == hash(direct)
+        if b:
+            round_trip = (a * b) / b
+            assert round_trip == a and hash(round_trip) == hash(a)
+            assert (round_trip.a, round_trip.b, round_trip.d) == \
+                (a.a, a.b, a.d)
+        assert (a - a) == 0 and not (a - a)
+        assert QI.of(complex(float(ar), 0.5)) == QI(float(ar), Fraction(1, 2))
+
+
+class TestMixedQIExpr:
+    def test_qi_then_expr_operands(self):
+        u = Expr.sym(sym("u"))
+        iu = Expr.const(I) * u
+        assert I * u == iu
+        assert I + u == Expr.const(I) + u
+        assert I - u == Expr.const(I) - u
+        assert QI(2) * u == u + u
+        assert I == Expr.const(I)
+
+    def test_non_numeric_operands_are_refused(self):
+        with pytest.raises(TypeError):
+            I * "u"
+        with pytest.raises(TypeError):
+            I + object()
+        assert (I == "I") is False
+
+
+class TestSymbolInterning:
+    def test_one_object_per_key(self):
+        from bvfact.jetcalc import jet, testfn, xsym
+        assert jet("u", (1,)) is jet("u", (1,))
+        assert jet("u", (1, 0)) is jet("u", (1,))
+        assert xsym(0) is xsym(0) and testfn("f") is testfn("f")
+        assert Symbol("jet", "u", (), 0) is sym("u")
+
+    def test_grades_are_distinct(self):
+        even, odd = sym("c", 0), sym("c", -1)
+        assert even is not odd and even != odd
+        assert even.odd is False and odd.odd is True
+        assert even.key() == odd.key()
+        assert len({even, odd, sym("c", 0)}) == 2
+
+    def test_ordering_is_by_ns_name_index_grade(self):
+        import random
+        syms = [Symbol(ns, name, index, grade)
+                for ns in ("jet", "tf", "x") for name in ("u", "v")
+                for index in ((), (0, 1), (1,), (2,)) for grade in (-1, 0, 1)]
+        want = sorted(syms, key=lambda s: (s.ns, s.name, s.index, s.grade))
+        rng = random.Random(3)
+        for _ in range(5):
+            shuffled = syms[:]
+            rng.shuffle(shuffled)
+            assert sorted(shuffled) == want
+        assert sym("u") < sym("u", 1) <= sym("u", 1) < sym("v")
+        assert sym("v") > sym("u") >= sym("u")
+
+    def test_copies_keep_identity(self):
+        import copy
+        import pickle
+        s = sym("c", -1, (2,))
+        assert copy.copy(s) is s and copy.deepcopy(s) is s
+        assert pickle.loads(pickle.dumps(s)) is s
+        with pytest.raises(AttributeError):
+            s.grade = 0
+
+
+# ---------------------------------------------------------------------------
+# Partial derivatives against the graded Euler identity
+# ---------------------------------------------------------------------------
+
+_euler_pool = [sym("u"), sym("v", 0, (1,)), sym("c", -1), sym("d", 1, (2,)),
+               sym("a", 2), sym("b", -1, (1,))]
+
+
+@st.composite
+def _graded_polys(draw):
+    e = Expr.zero()
+    for _ in range(draw(st.integers(1, 5))):
+        m = Expr.const(draw(qi_values))
+        for _ in range(draw(st.integers(0, 4))):
+            m = m * Expr.sym(draw(st.sampled_from(_euler_pool))) ** \
+                draw(st.integers(1, 3))
+        e = e + m
+    return e
+
+
+class TestPartialDerivatives:
+    @given(_graded_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_graded_euler_identity(self, f):
+        # a monomial of degree n gives n times itself from both sums:
+        # s * (d^L m/ds) and (d^R m/ds) * s put s back where it came from
+        weighted = Expr.from_terms((m, c * sum(e for _, e in m))
+                                   for m, c in f.terms.items())
+        left, right = Expr.zero(), Expr.zero()
+        for s in _euler_pool:
+            left = left + Expr.sym(s) * f.dleft(s)
+            right = right + f.dright(s) * Expr.sym(s)
+        assert left == weighted and right == weighted
+
+    def test_repeated_and_absent_symbols(self):
+        u, c, b = sym("u"), sym("c", -1), sym("b", -1, (1,))
+        f = Expr.sym(b) * Expr.sym(c) * Expr.sym(u) ** 2
+        first = f.dright(c)
+        # c passes the even u^2 on the right and the odd b on the left
+        assert f.dright(c) == first == Expr.sym(b) * Expr.sym(u) ** 2
+        assert f.dleft(c) == -first
+        assert f.dleft(u) == f.dright(u) == 2 * Expr.sym(b) * Expr.sym(c) \
+            * Expr.sym(u)
+        assert f.dleft(sym("v")).is_zero() and f.dright(sym("v")).is_zero()
