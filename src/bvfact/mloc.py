@@ -62,10 +62,7 @@ class MLTerm:
         return tuple((s.expr, w.key) for s, w in zip(self.slots, self.weights))
 
     def support(self, dim=1):
-        reg = Region.empty(dim)
-        for w in self.weights:
-            reg = reg.union(w.support)
-        return reg
+        return Region([b for w in self.weights for b in w.support.boxes], dim)
 
 
 def _series(c, orders):
@@ -123,10 +120,11 @@ class MultilocalObs:
         return out
 
     def support(self):
-        reg = Region.empty(self.region.dim)
-        for t in self.terms:
-            reg = reg.union(t.support(self.region.dim))
-        return reg
+        # one normalisation of every weight's boxes; a weight shared by many
+        # terms is read once
+        weights = {id(w): w for t in self.terms for w in t.weights}
+        return Region([b for w in weights.values() for b in w.support.boxes],
+                      self.region.dim)
 
     def evaluate(self, fields, tol=1e-10):
         """Dict (hbar power, lambda power) -> numeric value."""

@@ -6,8 +6,11 @@ predicate/sampling based.  The metric is diag(+,-).
 
 Bumps are closed-form compactly supported smooth functions built from the
 mollifier exp(-1/(1-t^2)) under affine placement, sums, products and
-quotients; they evaluate together with derivatives to any order via
-Taylor-series arithmetic, at one point or on a numpy array of points.
+quotients.  A call on one number, `f(t)`, runs the node tree's compiled
+order-0 closure, plain `math` on one float; everything else (arrays,
+`values`, `series`, `deriv`, `derivs`) evaluates with derivatives to any
+order through Taylor-series arithmetic (`_Taylor`), and the two agree bit
+for bit at order 0.
 """
 
 from __future__ import annotations
@@ -285,6 +288,14 @@ def _weiss_1d(cover, U, k):
 # flip) once per evaluation, so a subtree shared inside a tree is evaluated
 # once.  A node's `key`, built once from its parameters and its children's
 # keys, names the function it computes: a tag, then the parameters.
+#
+# `Bump(t)` on one int or float skips `_Taylor`: `node.scalar()` is a closure
+# of `math` calls on one float, built on first use from the children's
+# closures and kept on the node, so a subtree shared inside a tree (the
+# windows of a partition of unity) is compiled once.  It makes the float
+# operations of the order-0 `_Taylor` rows in the same order, including the
+# early 0.0 of `_Prod` and `_Quot`, so the two paths agree bit for bit;
+# `_Deriv` runs `_Taylor` inside its closure.
 
 def _where(cond, x, y):
     if isinstance(cond, np.ndarray):
@@ -394,8 +405,12 @@ class Bump:
         return self.values(t, order)
 
     def __call__(self, t):
-        v = self.series(t, 0)[0]
-        return v if np.ndim(v) else float(v)
+        if type(t) is not float:
+            if not isinstance(t, (int, float)):  # np.float64 is a float
+                v = self.series(t, 0)[0]
+                return v if np.ndim(v) else float(v)
+            t = float(t)
+        return self.node.scalar()(t)
 
     def deriv(self, t, k):
         v = self.series(t, k)[k] * math.factorial(k)
@@ -436,7 +451,29 @@ def _as_bump(x):
     raise TypeError("expected Bump")
 
 
-class _Const:
+class _Node:
+    """Base of the Taylor nodes: the compiled order-0 closure."""
+
+    _fn = None
+
+    def scalar(self):
+        """f(t) for one float t, built once by `_compile` and kept."""
+        fn = self._fn
+        if fn is None:
+            fn = self._fn = self._compile()
+        return fn
+
+    def _compile(self):
+        return lambda t: _Taylor(t).rows(self, 1)[0]
+
+    def __getstate__(self):
+        # the closure is rebuilt on demand; functions do not pickle
+        state = dict(self.__dict__)
+        state.pop("_fn", None)
+        return state
+
+
+class _Const(_Node):
     def __init__(self, c):
         self.c = float(c)
         self.key = ("c", self.c)
@@ -444,8 +481,12 @@ class _Const:
     def taylor(self, ev, n, flip):
         return [self.c] + [0.0] * (n - 1)
 
+    def _compile(self):
+        c = self.c
+        return lambda t: c
 
-class _Poly:
+
+class _Poly(_Node):
     """Polynomial sum c_k t^k."""
 
     def __init__(self, coeffs):
@@ -463,8 +504,18 @@ class _Poly:
             rows.append(val)
         return rows
 
+    def _compile(self):
+        top = self.coeffs[::-1]
 
-class _Sum:
+        def f(t):
+            val = 0.0
+            for c in top:
+                val = val * t + c
+            return val
+        return f
+
+
+class _Sum(_Node):
     def __init__(self, children):
         self.children = children
         self.key = ("+",) + tuple(ch.key for ch in children)
@@ -475,8 +526,18 @@ class _Sum:
             out = [a + b for a, b in zip(out, ev.rows(ch, n, flip))]
         return out
 
+    def _compile(self):
+        first, *rest = [ch.scalar() for ch in self.children]
 
-class _Prod:
+        def f(t):
+            val = first(t)
+            for g in rest:
+                val = val + g(t)
+            return val
+        return f
+
+
+class _Prod(_Node):
     def __init__(self, children):
         self.children = children
         # nested products flattened and factors sorted: f*g, g*f and
@@ -499,8 +560,23 @@ class _Prod:
                 out = [_where(live, r, 0.0) for r in out]
         return out
 
+    def _compile(self):
+        first, *rest = [ch.scalar() for ch in self.children]
 
-class _Quot:
+        def f(t):
+            val = first(t)
+            for g in rest:
+                if val == 0:
+                    return 0.0
+                val = val * g(t)
+            return val
+        return f
+
+
+_ZERO_DEN = "series division by zero constant term"
+
+
+class _Quot(_Node):
     """Numerator/denominator; 0 where the numerator vanishes to all orders
     (the denominator is then allowed to vanish too)."""
 
@@ -518,14 +594,26 @@ class _Quot:
         zero = b[0] == 0
         if _any(zero):
             if _any(zero & live):
-                raise ZeroDivisionError("series division by zero constant "
-                                        "term")
+                raise ZeroDivisionError(_ZERO_DEN)
             b = [_where(zero, 1.0, b[0])] + [_where(zero, 0.0, r)
                                              for r in b[1:]]
         return _div(a, b)
 
+    def _compile(self):
+        num, den = self.num.scalar(), self.den.scalar()
 
-class _ExpInv:
+        def f(t):
+            a = num(t)
+            if a == 0:
+                return 0.0
+            b = den(t)
+            if b == 0:
+                raise ZeroDivisionError(_ZERO_DEN)
+            return a / b
+        return f
+
+
+class _ExpInv(_Node):
     """exp(-1/g(t)) where g > 0, extended by 0 where g <= 0."""
 
     def __init__(self, arg):
@@ -546,6 +634,14 @@ class _ExpInv:
         g = [_where(pos, g[0], 1.0)] + [_where(pos, r, 0.0) for r in g[1:]]
         h = [-r for r in _div([1.0] + [0.0] * (n - 1), g)]
         return [_where(pos, r, 0.0) for r in _exp(h)]
+
+    def _compile(self):
+        arg, exp = self.arg.scalar(), math.exp
+
+        def f(t):
+            g = arg(t)
+            return exp(-1.0 / g) if g > 0 else 0.0
+        return f
 
 
 def mollifier(center=0, radius=1):
@@ -592,7 +688,7 @@ def window(a, b, c, d):
                                       Fraction(d).limit_denominator(10**12)))
 
 
-class _Deriv:
+class _Deriv(_Node):
     def __init__(self, child, k):
         self.child = child
         self.k = k
@@ -605,7 +701,7 @@ class _Deriv:
                 for j in range(n)]
 
 
-class _Reflect:
+class _Reflect(_Node):
     def __init__(self, child):
         self.child = child
         self.key = ("r", child.key)
@@ -613,6 +709,10 @@ class _Reflect:
     def taylor(self, ev, n, flip):
         s = ev.rows(self.child, n, 1 - flip)
         return [-r if k % 2 else r for k, r in enumerate(s)]
+
+    def _compile(self):
+        child = self.child.scalar()
+        return lambda t: child(-t)
 
 
 def constant_one():
@@ -664,10 +764,15 @@ def partition_of_unity(cover, compact: Region):
             supp = supp.union(Region.interval(a, b))
         node = _Sum(node_children) if node_children else _Const(0.0)
         windows.append(Bump(node, supp))
-    total = _Sum([w.node for w in windows])
+    # psi_k = w_k / (sum of the windows whose supports meet w_k's): on supp
+    # w_k the windows left out are exactly 0.0, and off it psi_k is 0.0
+    # before its denominator is read, so every value is that of w_k / (sum
+    # of all windows)
     out = []
     for w in windows:
-        out.append(Bump(_Quot(w.node, total), w.support))
+        near = [v.node for v in windows
+                if v is w or v.support.intersects(w.support)]
+        out.append(Bump(_Quot(w.node, _Sum(near)), w.support))
     return out
 
 

@@ -3,8 +3,9 @@
 Expressions are finite sums of monomials in graded symbols.  Coefficients are
 Gaussian rationals, stored as integer triples (a + b*i)/d; floats appear
 only when an expression is numerically evaluated.  Canonical form: monomials
-are stored sorted by symbol key, odd symbols square to zero, zero coefficients
-are dropped.  Two expressions are equal iff their term dicts are equal.
+are stored sorted by symbol order, odd symbols square to zero, zero
+coefficients are dropped.  Two expressions are equal iff their term dicts are
+equal.
 """
 
 from __future__ import annotations
@@ -241,8 +242,8 @@ class Symbol:
         return self.name + idx
 
 
-# A monomial is a tuple of (Symbol, exponent), sorted by symbol key.
-# Odd symbols always carry exponent 1.
+# A monomial is a tuple of (Symbol, exponent), sorted by symbol order
+# (ns, name, index, grade).  Odd symbols always carry exponent 1.
 
 def _merge_monomials(m1, m2):
     """Merge two sorted monomials; return (sign, monomial) or (0, None)."""
@@ -262,23 +263,23 @@ def _merge_monomials(m1, m2):
     while i < n1 and j < n2:
         s1, e1 = m1[i]
         s2, e2 = m2[j]
-        k1, k2 = s1._key, s2._key
-        if k1 < k2:
-            out.append((s1, e1))
-            if s1.odd:
-                odd_remaining -= 1
-            i += 1
-        elif k1 > k2:
-            # s2 jumps over the remaining odd part of m1
-            if s2.odd and odd_remaining % 2 == 1:
-                sign = -sign
-            out.append((s2, e2))
-            j += 1
-        else:
+        if s1 is s2:
+            # symbols are interned: the same symbol, grade included
             if s1.odd:
                 return 0, None  # odd square
             out.append((s1, e1 + e2))
             i += 1
+            j += 1
+        elif s1._order < s2._order:
+            out.append((s1, e1))
+            if s1.odd:
+                odd_remaining -= 1
+            i += 1
+        else:
+            # s2 jumps over the remaining odd part of m1
+            if s2.odd and odd_remaining % 2 == 1:
+                sign = -sign
+            out.append((s2, e2))
             j += 1
     out.extend(m1[i:])
     out.extend(m2[j:])

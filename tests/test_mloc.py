@@ -221,3 +221,31 @@ class TestWeissPieces:
             ref = symmetrized_kernel(F, pts, FIELDS)
             got = sum(symmetrized_kernel(p, pts, FIELDS) for p, _ in parts)
             assert abs(got - ref) < 1e-10
+
+
+def _union_fold(regions, dim=1):
+    reg = Region.empty(dim)
+    for r in regions:
+        reg = reg.union(r)
+    return reg
+
+
+class TestSupportsInOnePass:
+    def test_supports_equal_a_fold_of_unions(self):
+        import itertools
+        base = [(Fraction(0), Fraction(3, 10)),
+                (Fraction(2, 10), Fraction(55, 100)),
+                (Fraction(45, 100), Fraction(8, 10)),
+                (Fraction(7, 10), Fraction(1))]
+        cover3 = [Region.intervals(list(sub))
+                  for sub in itertools.combinations(base, 3)]
+        ws = [mollifier(Fraction(c, 6), Fraction(1, 8)) for c in (1, 3, 5)]
+        F = MultilocalObs([MLTerm((U, U, U2), tuple(ws), 1)],
+                          Region.interval(0, 1))
+        parts = weiss_decompose(F, cover3)
+        assert parts
+        for p, _ in [(F, None)] + parts:
+            for t in p.terms:
+                assert t.support() == _union_fold(w.support
+                                                  for w in t.weights)
+            assert p.support() == _union_fold(t.support() for t in p.terms)

@@ -144,3 +144,141 @@ class TestPartitionOfUnity:
         parts = partition_of_unity(cover, U)
         for p, C in zip(parts, cover):
             assert C.contains_region(p.support)
+
+
+# ---------------------------------------------------------------------------
+# Scalar calls: the compiled closure against the order-0 Taylor rows
+# ---------------------------------------------------------------------------
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import example
+
+from bvfact.region import _Const, _Quot, _Reflect, _Sum, _Taylor
+
+_QUARTERS = st.integers(-4, 4).map(lambda k: Fraction(k, 4))
+_WIDTHS = st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+
+
+def _psis(n, lo=Fraction(0), hi=Fraction(1)):
+    """The partition of unity of n overlapping intervals over [lo, hi], as
+    `weiss_decompose` refines a cover."""
+    step = (hi - lo) / n
+    cover = [Region.interval(lo + k * step - step / 2,
+                             lo + (k + 1) * step + step / 2)
+             for k in range(n)]
+    return partition_of_unity(cover, Region.interval(lo, hi))
+
+
+@st.composite
+def _leaves(draw):
+    """(bump, support edges) of one bump built by `region`."""
+    kind = draw(st.sampled_from(["mollifier", "smoothstep", "window",
+                                 "psi-w"]))
+    c, r = draw(_QUARTERS), draw(_WIDTHS)
+    if kind == "mollifier":
+        return mollifier(c, r), [c - r, c + r]
+    if kind == "smoothstep":
+        return smoothstep(c, c + r), [c, c + r]
+    if kind == "window":
+        return window(c - r, c - r / 2, c + r / 2, c + r), [c - r, c + r]
+    n = draw(st.sampled_from([2, 8]))
+    psis = _psis(n, c - r, c + r)
+    psi = psis[draw(st.integers(0, n - 1))]
+    edges = [x for b in psi.support.boxes for x in b[0]]
+    return psi * mollifier(c, r / 2), edges + [c - r / 2, c + r / 2]
+
+
+def _trees(leaves):
+    def grow(children):
+        pair = st.tuples(children, children)
+        return st.one_of(
+            pair.map(lambda p: (p[0][0] * p[1][0], p[0][1] + p[1][1])),
+            pair.map(lambda p: (p[0][0] + p[1][0], p[0][1] + p[1][1])),
+            st.tuples(st.sampled_from([3.0, -0.5, 0.0, -0.0]), children).map(
+                lambda p: (p[0] * p[1][0], p[1][1])),
+            children.map(lambda b: (Bump(_Reflect(b[0].node), b[0].support),
+                                    [-x for x in b[1]])),
+            st.tuples(children, st.integers(1, 2)).map(
+                lambda p: (p[0][0].d(p[1]), p[0][1])))
+    return st.recursive(leaves, grow, max_leaves=4)
+
+
+def _outcome(f, t):
+    try:
+        v = f(t)
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+    assert type(v) is float
+    return v.hex()  # tells -0.0 from 0.0
+
+
+class TestScalarPath:
+    @settings(max_examples=80, deadline=None)
+    @given(_trees(_leaves()),
+           st.lists(st.sampled_from([-0.3, -1e-3, -1e-300, 0.0, 1e-300,
+                                     1e-3, 0.3]), min_size=1, max_size=4),
+           st.lists(st.floats(-3, 3), max_size=6))
+    # a product whose running value is -0.0 gives 0.0, not -0.0
+    @example((-0.0 * mollifier(0, 1), [-1, 1]), [0.3], [])
+    def test_call_matches_order0_taylor_rows(self, tree, offsets, extra):
+        b, edges = tree
+        pts = [float(e) + o for e in edges for o in offsets] + extra + \
+            [0.0, -0.0]
+        for t in pts:
+            assert _outcome(b, t) == _outcome(
+                lambda x: float(_Taylor(x).rows(b.node, 1)[0]), t)
+
+    def test_vanishing_denominator_raises_on_both_paths(self):
+        q = Bump(_Quot(_Const(1.0), mollifier(0, 1).node),
+                 Region.interval(-2, 2))
+        with pytest.raises(ZeroDivisionError):
+            q(1.5)
+        with pytest.raises(ZeroDivisionError):
+            q.values(1.5)
+        with pytest.raises(ZeroDivisionError):
+            q(np.array([0.0, 1.5]))
+        assert q(0.5) == q.values(0.5)[0]
+
+    def test_result_types(self):
+        m = mollifier(0, 1)
+        for t in (0, 0.25, np.float64(0.25)):
+            assert type(m(t)) is float
+        assert m(0) == m(0.0) and m(np.float64(0.25)) == m(0.25)
+        arr = m(np.array([0.0, 0.25]))
+        assert isinstance(arr, np.ndarray) and arr.shape == (2,)
+        assert arr[1] == m(0.25)
+
+    def test_pickle_and_deepcopy_after_a_scalar_call(self):
+        b = _psis(8)[3] * mollifier(Fraction(1, 3), Fraction(1, 4))
+        v = b(0.35)
+        for twin in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+            assert twin(0.35) == v and twin.key == b.key
+            assert twin.support == b.support
+
+
+class TestLocalPartitionDenominators:
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_values_equal_full_denominator_quotient(self, n):
+        psis = _psis(n)
+        # psi_k = w_k / (local sum): its numerator is the window w_k
+        total = _Sum([p.node.num for p in psis])
+        ts = np.linspace(-0.25, 1.25, 20001)
+        # one evaluation for every reference, so `total` is computed once;
+        # the references are kept alive, since the memo is keyed by id
+        ev = _Taylor(ts)
+        refs = [_Quot(p.node.num, total) for p in psis]
+        for p, ref in zip(psis, refs):
+            want = np.empty((3, ts.size))
+            for k, row in enumerate(ev.rows(ref, 3)):
+                want[k] = row
+            assert p.values(ts, 2).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_sums_to_one_on_the_compact_set(self, n):
+        ts = np.linspace(0, 1, 20001)
+        tot = sum(p.values(ts)[0] for p in _psis(n))
+        assert np.all(np.abs(tot - 1.0) <= 1e-12)

@@ -330,3 +330,15 @@ class TestPartialDerivatives:
         assert f.dleft(u) == f.dright(u) == 2 * Expr.sym(b) * Expr.sym(c) \
             * Expr.sym(u)
         assert f.dleft(sym("v")).is_zero() and f.dright(sym("v")).is_zero()
+
+
+class TestGradesKeptApart:
+    def test_symbols_differing_only_in_grade(self):
+        a = Symbol("jet", "c", (), 0)
+        b = Symbol("jet", "c", (), -1)
+        ab = Expr.sym(a) * Expr.sym(b)
+        ba = Expr.sym(b) * Expr.sym(a)
+        # a is even, so a and b commute: one monomial of grade -1
+        assert ab == ba and not ab.is_zero()
+        assert ab.homogeneous_grade() == -1
+        assert ab != Expr.sym(a) ** 2
