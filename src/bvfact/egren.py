@@ -26,7 +26,8 @@ from fractions import Fraction
 
 from .region import Bump, mollifier, window
 from .freeq import (OscillatorModel, PropagatorKernel, DiagramPoly, tprod,
-                    field_obs, eval_poly, _concat, _merge, _hbar_weight)
+                    field_obs, eval_poly, _fuse, _hbar_weight,
+                    _mixed_states, _overlap_integral)
 from .symexpr import Expr, FormalSeries
 
 
@@ -352,22 +353,18 @@ def _contact_terms(F: DiagramPoly, G: DiagramPoly, m, c) -> DiagramPoly:
     and one G-vertex: mirror of the m-fold contraction combinatorics, with
     the kernel replaced by a point merge."""
     out = DiagramPoly(orders=F.orders)
-    w = _hbar_weight(m, F.orders)
-    for d1, c1 in F.terms.values():
-        n1 = len(d1.verts)
-        for d2, c2 in G.terms.values():
-            verts0, edges0 = _concat(d1, d2)
-            coeff = c1 * c2 * w * c
-            for i in range(n1):
-                for j in range(n1, len(verts0)):
-                    vi, vj = verts0[i], verts0[j]
-                    count = _falling(vi.u, m) * _falling(vj.u, m)
-                    if not count:
-                        continue
-                    verts = list(verts0)
-                    verts[i] = vi.replace(u=vi.u - m)
-                    verts[j] = vj.replace(u=vj.u - m)
-                    out._add(_merge(verts, edges0, i, j), coeff * count)
+    w = _hbar_weight(m, F.orders) * c
+    for n1, verts0, edges0, _, c12 in _mixed_states(F, G):
+        for i in range(n1):
+            for j in range(n1, len(verts0)):
+                vi, vj = verts0[i], verts0[j]
+                count = _falling(vi.u, m) * _falling(vj.u, m)
+                if not count:
+                    continue
+                verts = list(verts0)
+                verts[i] = vi.replace(u=vi.u - m)
+                verts[j] = vj.replace(u=vj.u - m)
+                out._add(_fuse(verts, edges0, ((i, j),)), c12 * w * count)
     return out
 
 
@@ -515,17 +512,13 @@ def recover_delta_coefficient(T: TimeOrder2, T2: TimeOrder2, f: Bump,
                               g: Bump, model=None, tol=1e-8):
     """Measure the c in Z2 = c*delta at one Feynman edge, from the numeric
     value of Z2(u(f), u(g)) = c * hbar * int f g."""
-    from scipy.integrate import quad
-
     model = model or T.model
     F = field_obs(f)
     G = field_obs(g)
     diff = T2.apply(F, G) - T.apply(F, G)
     vals = eval_poly(diff, model, {"u": _unit_field()}, tol=tol * 1e-2)
     num = vals.get((1, 0), 0.0)
-    fb = f.support.bounds()[0]
-    den, _ = quad(lambda x: f(x) * g(x), float(fb[0]), float(fb[1]),
-                  epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=200)
+    den = _overlap_integral(f, g, tol * 1e-2)
     if den == 0:
         raise ValueError("f and g must overlap")
     return num / den

@@ -14,6 +14,21 @@ hbar placement: each W-contraction in the star product carries one power of
 hbar, and the time-ordering map is exp((hbar/2) d_{G^F}); with these choices
 the star commutator equals i hbar times the Peierls bracket and causal
 factorization reduces to G^F = W on {t > s}.
+
+Contraction rules: star, tprod, tmap and peierls share one step, `_contract`,
+which contracts one leg at vertex i with one leg at vertex j (i == j
+allowed), by leg species:
+  u-u        adds a kernel edge, in u_i u_j ways (C(u, 2) when i == j);
+  (Pu)-u     under G^F is P G^F = i delta: the two vertices fuse, factor i.
+             At one vertex, or between vertices already fused, the pair is
+             pointwise: it contributes i and the vertex just loses the two
+             legs (no delta(0) is formed);
+  (Pu)-u     under W and Delta gives nothing: both are bi-solutions,
+             P W = P Delta = 0, so (Pu) legs are inert;
+  (Pu)-(Pu)  under G^F raises NotImplementedError: i P delta has no vertex
+             form.
+A kernel with no rule raises too.  tprod contracts only F-legs with G-legs
+and fuses only when it emits a term, so it equals T(T^-1 F . T^-1 G).
 """
 
 import cmath
@@ -131,11 +146,16 @@ def green_defect(model, f: Bump, g: Bump, tol=1e-9):
     # P is formally self-adjoint: pair Delta^R with (P f)(t) g(s)
     val = -(pair_kernel(ker, f, g, tol=tol, fderiv=2)
             + w2 * pair_kernel(ker, f, g, tol=tol))
+    return abs(val - _overlap_integral(f, g, tol))
+
+
+def _overlap_integral(f: Bump, g: Bump, tol):
+    """int f g over supp(f g), on the fixed-rule path of `integrate`; 0.0
+    when the supports do not meet."""
     b = (f * g).support.bounds()
     if b is None:
-        return abs(val)
-    direct = integrate(lambda t: f(t) * g(t), b, tol)
-    return abs(val - direct)
+        return 0.0
+    return integrate(lambda t: f(t) * g(t), b, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +215,7 @@ class Diagram:
 
     `sign` multiplies the coefficient `DiagramPoly._add` gives the diagram:
     the Koszul sign of reaching the canonical vertex order (and of a vertex
-    fusion, see `_merge`), or 0 for a diagram that is zero.
+    fusion, see `_fuse`), or 0 for a diagram that is zero.
     """
 
     __slots__ = ("verts", "edges", "sign")
@@ -365,91 +385,99 @@ def field_obs(f: Bump, power=1, afpower=0, orders=(3, 2)):
 # Contraction machinery
 # ---------------------------------------------------------------------------
 
-def _contract_u_legs(diag, i, j, kind):
-    """Contract one u-type leg at vertex i with one at vertex j (i != j),
-    preferring plain legs; returns list of (Diagram, scalar) results split by
-    leg species (plain-plain inserts a kernel edge, a P-marked leg turns a
-    Feynman edge into i*delta, i.e. a vertex merge)."""
+# kernels under which a (Pu) leg is inert: bi-solutions, P W = P Delta = 0
+_BISOLUTIONS = ("wightman", "pauli-jordan")
+
+
+def _contract(verts, i, j, kind):
+    """The ways to contract one leg at vertex i with one leg at vertex j
+    (i == j allowed) by the `kind` kernel: a list of (verts, edges, links,
+    count), the vertices with the two legs dropped, the kernel edges and
+    delta links the contraction adds, and its multiplicity.
+
+    The rules are in the module docstring.  A (Pu)-u pair under G^F is
+    returned as a link (i, j) with factor i, which `_fuse` applies when the
+    term is emitted; at one vertex, or between vertices already linked, the
+    link changes nothing, so the pair is pointwise.
+    """
+    if kind != "feynman" and kind not in _BISOLUTIONS:
+        raise NotImplementedError("the contraction step has no rule for the "
+                                  "%s kernel" % kind)
+    vi, vj = verts[i], verts[j]
+    same = i == j
+    if kind == "feynman" and vi.p and vj.p and (vi.p > 1 or not same):
+        raise NotImplementedError("a (Pu)-(Pu) contraction under G^F is "
+                                  "i P delta, which has no vertex form")
     out = []
-    vi, vj = diag.verts[i], diag.verts[j]
-    combos = []
-    if vi.u and vj.u:
-        combos.append(("u", "u", vi.u * vj.u))
-    if vi.p and vj.u:
-        combos.append(("p", "u", vi.p * vj.u))
-    if vi.u and vj.p:
-        combos.append(("u", "p", vi.u * vj.p))
-    if vi.p and vj.p:
-        raise NotImplementedError("double P-marked contraction")
-    for si, sj, count in combos:
-        verts = list(diag.verts)
-        verts[i] = vi.replace(**{("u" if si == "u" else "p"):
-                                 getattr(vi, "u" if si == "u" else "p") - 1})
-        verts[j] = vj.replace(**{("u" if sj == "u" else "p"):
-                                 getattr(vj, "u" if sj == "u" else "p") - 1})
-        if si == "u" and sj == "u":
-            edges = list(diag.edges) + [(i, j, kind, 1)]
-            out.append((Diagram(verts, edges), count))
-        else:
-            if kind != "feynman":
-                raise NotImplementedError("P-marked contraction needs the "
-                                          "Feynman kernel")
-            out.append((_merge(verts, diag.edges, i, j), count * 1j))
+    uu = vi.u * (vi.u - 1) // 2 if same else vi.u * vj.u
+    if uu:
+        out.append((_drop(verts, i, "u", j, "u"), ((i, j, kind, 1),), (), uu))
+    if kind == "feynman":
+        pu = [("p", "u", vi.p * vj.u)]
+        if not same:
+            pu.append(("u", "p", vi.u * vj.p))
+        for si, sj, n in pu:
+            if n:
+                out.append((_drop(verts, i, si, j, sj), (), ((i, j),),
+                            n * 1j))
     return out
 
 
-def _contract_same_vertex(diag, i, kind):
-    """Contract two u legs at the same vertex (unordered pairs)."""
-    v = diag.verts[i]
-    out = []
-    if v.u >= 2:
-        verts = list(diag.verts)
-        verts[i] = v.replace(u=v.u - 2)
-        edges = list(diag.edges) + [(i, i, kind, 1)]
-        out.append((Diagram(verts, edges), v.u * (v.u - 1) // 2))
-    if v.p and v.u:
-        if kind != "feynman":
-            raise NotImplementedError
-        verts = list(diag.verts)
-        verts[i] = v.replace(u=v.u - 1, p=v.p - 1)
-        # P G^F at coincident points contributes i*delta(0) -- excluded in
-        # this 1-d model by evaluating delta against the smooth smearing:
-        # the merged vertex keeps its weight, the pairing is pointwise
-        out.append((Diagram(verts, list(diag.edges)), v.p * v.u * 1j))
-    return out
+def _drop(verts, i, si, j, sj):
+    """The vertices with one `si` leg gone at vertex i and one `sj` leg at
+    vertex j."""
+    verts = list(verts)
+    verts[i] = verts[i].replace(**{si: getattr(verts[i], si) - 1})
+    verts[j] = verts[j].replace(**{sj: getattr(verts[j], sj) - 1})
+    return verts
 
 
-def _merge(verts, edges, i, j):
-    """delta(t_i - t_j) contraction: fuse vertex j into vertex i.
+def _fuse(verts, edges, links):
+    """The diagram with each link's delta(t_i - t_j) applied: for a link
+    (i, j), vertex j is fused into vertex i, their weights multiplied.
 
     The Koszul sign of moving vj's odd content next to vi, across the
     vertices between, goes into the diagram's sign.  The sign is 0 if the
     fused vertex would carry two antifield legs: u~ is odd, so u~(t)^2 = 0
-    pointwise.
+    pointwise.  A link between vertices already fused is pointwise.
     """
     verts = list(verts)
-    vi, vj = verts[i], verts[j]
-    if vi.w is None or vj.w is None:
-        w = vj.w if vi.w is None else vi.w
-    else:
-        w = vi.w * vj.w
-    if vi.au + vj.au >= 2:
-        sign = 0
-    elif vj.au % 2 and sum(v.au for v in verts[min(i, j) + 1:max(i, j)]) % 2:
-        sign = -1
-    else:
-        sign = 1
-    verts[i] = Vertex(u=vi.u + vj.u, au=vi.au + vj.au, p=vi.p + vj.p, w=w)
-    del verts[j]
-
-    def remap(k):
-        k = i if k == j else k
-        return k if k < j else k - 1
-
-    d = Diagram(verts, [_norm_edge(remap(a), remap(b), kind, o)
-                        for a, b, kind, o in edges])
+    at = list(range(len(verts)))  # vertex of `verts` -> its fused vertex
+    sign = 1
+    for a, b in links:
+        i, j = at[a], at[b]
+        if i == j:
+            continue
+        vi, vj = verts[i], verts[j]
+        if vi.w is None or vj.w is None:
+            w = vj.w if vi.w is None else vi.w
+        else:
+            w = vi.w * vj.w
+        if vi.au + vj.au >= 2:
+            sign = 0
+        elif vj.au % 2 and sum(v.au for v in
+                               verts[min(i, j) + 1:max(i, j)]) % 2:
+            sign = -sign
+        verts[i] = Vertex(u=vi.u + vj.u, au=vi.au + vj.au, p=vi.p + vj.p, w=w)
+        del verts[j]
+        at = [i if k == j else k for k in at]
+        at = [k - (k > j) for k in at]
+    d = Diagram(verts, [(at[a], at[b], kind, o) for a, b, kind, o in edges])
     d.sign *= sign
     return d
+
+
+def _delta_contract(verts, edges, iu, ia):
+    """delta-contraction of one u leg at vertex iu with one u~ leg at vertex
+    ia: the fused diagram (pointwise when iu == ia) and its multiplicity,
+    signed by the parity of the antifield legs before vertex ia; None if
+    there is no such pair of legs."""
+    count = verts[iu].u * verts[ia].au
+    if not count:
+        return None
+    if sum(v.au for v in verts[:ia]) % 2:
+        count = -count
+    return _fuse(_drop(verts, iu, "u", ia, "au"), edges, ((iu, ia),)), count
 
 
 # ---------------------------------------------------------------------------
@@ -462,21 +490,37 @@ def _hbar_weight(k, orders, sign=1):
     return FormalSeries({(k, 0): Expr.const(c)}, orders)
 
 
+def _mixed_states(F: DiagramPoly, G: DiagramPoly):
+    """One state (n1, verts, edges, links, coefficient) per pair of an F and
+    a G diagram: their concatenation, the first n1 vertices from F."""
+    return [(len(d1.verts),) + _concat(d1, d2) + ((), c1 * c2)
+            for d1, c1 in F.terms.values() for d2, c2 in G.terms.values()]
+
+
+def _mixed_layer(states, kind):
+    """Every state with one more contraction from an F-leg to a G-leg."""
+    return [(n1, verts2, edges + e, links + lk, c * cnt)
+            for n1, verts, edges, links, c in states
+            for i in range(n1) for j in range(n1, len(verts))
+            for verts2, e, lk, cnt in _contract(verts, i, j, kind)]
+
+
 def _contraction_exp(F: DiagramPoly, G: DiagramPoly, kind) -> DiagramPoly:
     """m o exp(hbar D_kind): kernel contractions from F-legs to G-legs, one
-    power of hbar per edge.  Iterated single contractions; the k-fold layer
-    carries hbar^k / k!."""
+    power of hbar each.  Iterated single contractions; the k-fold layer
+    carries hbar^k / k!.  Links are fused only when a term is emitted, so
+    F-legs and G-legs stay apart after a delta."""
     hmax = F.orders[0]
     total = DiagramPoly(orders=F.orders)
-    pairs = [(_Split(d1, d2), c1 * c2)
-             for d1, c1 in F.terms.values() for d2, c2 in G.terms.values()]
+    states = _mixed_states(F, G)
     for k in range(hmax + 1):
         w = _hbar_weight(k, F.orders)
-        for sp, c in pairs:
-            total._add(sp.diagram(), c * w)
-        pairs = [(sp2, c * cnt) for sp, c in pairs
-                 for sp2, cnt in sp.contract(kind)]
-        if not pairs:
+        for _, verts, edges, links, c in states:
+            total._add(_fuse(verts, edges, links), c * w)
+        if k == hmax:
+            break
+        states = _mixed_layer(states, kind)
+        if not states:
             break
     return total
 
@@ -484,39 +528,6 @@ def _contraction_exp(F: DiagramPoly, G: DiagramPoly, kind) -> DiagramPoly:
 def star(F: DiagramPoly, G: DiagramPoly) -> DiagramPoly:
     """m o exp(hbar D_W): Wightman contractions from F-legs to G-legs."""
     return _contraction_exp(F, G, "wightman")
-
-
-class _Split:
-    """A concatenated diagram remembering the F/G boundary, for mixed-edge
-    generation with correct orientation (edges point F -> G)."""
-
-    __slots__ = ("left", "right", "extra")
-
-    def __init__(self, left, right, extra=()):
-        self.left = left
-        self.right = right
-        self.extra = extra  # mixed edges, indexed in the concatenation
-
-    def _free_legs(self):
-        """u legs left uncontracted at each vertex of the concatenation."""
-        legs = [v.u for v in self.left.verts + self.right.verts]
-        for a, b, _, _ in self.extra:
-            legs[a] -= 1
-            legs[b] -= 1
-        return legs
-
-    def diagram(self):
-        verts, edges = _concat(self.left, self.right)
-        verts = [v.replace(u=u) for v, u in zip(verts, self._free_legs())]
-        return Diagram(verts, edges + self.extra)
-
-    def contract(self, kind):
-        n = len(self.left.verts)
-        legs = self._free_legs()
-        return [(_Split(self.left, self.right, self.extra + ((i, j, kind, 1),)),
-                 legs[i] * legs[j])
-                for i in range(n) if legs[i] > 0
-                for j in range(n, len(legs)) if legs[j] > 0]
 
 
 def tmap(F: DiagramPoly, inverse=False) -> DiagramPoly:
@@ -530,14 +541,16 @@ def tmap(F: DiagramPoly, inverse=False) -> DiagramPoly:
         w = _hbar_weight(k, F.orders, sign)
         for d, c in layer:
             total._add(d, c * w)
+        if k == hmax:
+            break
         nxt = DiagramPoly(orders=F.orders)
         for d, c in layer:
-            for i in range(len(d.verts)):
-                for res, cnt in _contract_same_vertex(d, i, "feynman"):
-                    nxt._add(res, c * cnt)
-                for j in range(i + 1, len(d.verts)):
-                    for res, cnt in _contract_u_legs(d, i, j, "feynman"):
-                        nxt._add(res, c * cnt)
+            n = len(d.verts)
+            for i in range(n):
+                for j in range(i, n):
+                    for verts, e, lk, cnt in _contract(d.verts, i, j,
+                                                       "feynman"):
+                        nxt._add(_fuse(verts, d.edges + e, lk), c * cnt)
         layer = list(nxt.terms.values())
         if not layer:
             break
@@ -560,17 +573,11 @@ def tprod(F: DiagramPoly, G: DiagramPoly) -> DiagramPoly:
 
 def peierls(F: DiagramPoly, G: DiagramPoly) -> DiagramPoly:
     """Classical Peierls bracket: single Pauli-Jordan contraction between
-    F-legs and G-legs."""
+    F-legs and G-legs; (Pu) legs are inert, since P Delta = 0."""
     out = DiagramPoly(orders=F.orders)
-    for d1, c1 in F.terms.values():
-        n1 = len(d1.verts)
-        for d2, c2 in G.terms.values():
-            base = Diagram(*_concat(d1, d2), canonicalize=False)
-            for i in range(n1):
-                for j in range(n1, len(base.verts)):
-                    for res, cnt in _contract_u_legs(base, i, j,
-                                                     "pauli-jordan"):
-                        out._add(res, c1 * c2 * cnt)
+    for _, verts, edges, _, c in _mixed_layer(_mixed_states(F, G),
+                                              "pauli-jordan"):
+        out._add(Diagram(verts, edges), c)
     return out
 
 
@@ -715,24 +722,11 @@ def bv_laplacian(F: DiagramPoly) -> DiagramPoly:
     """Graded BV Laplacian: delta-contraction of one u leg with one u~ leg."""
     out = DiagramPoly(orders=F.orders)
     for d, c in F.terms.values():
-        for i, vi in enumerate(d.verts):
-            for j, vj in enumerate(d.verts):
-                count = vi.u * vj.au
-                if not count:
-                    continue
-                # remove the legs, then fuse (or stay) at the same point
-                verts = list(d.verts)
-                verts[i] = verts[i].replace(u=verts[i].u - 1)
-                verts[j] = verts[j].replace(au=verts[j].au - 1)
-                sign = 1
-                if sum(d.verts[k].au for k in range(j)) % 2:
-                    sign = -1
-                if j == i:
-                    out._add(Diagram(verts, list(d.edges)),
-                             c * Fraction(sign * count))
-                else:
-                    out._add(_merge(verts, d.edges, i, j),
-                             c * Fraction(sign * count))
+        for i in range(len(d.verts)):
+            for j in range(len(d.verts)):
+                term = _delta_contract(d.verts, d.edges, i, j)
+                if term:
+                    out._add(term[0], c * Fraction(term[1]))
     return out
 
 

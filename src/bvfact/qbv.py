@@ -15,7 +15,7 @@ from .symexpr import Expr, FormalSeries, I
 from .region import Region, Bump, window
 from .freeq import (OscillatorModel, DiagramPoly, field_obs, shat0,
                     delta_s0, bv_laplacian, tmap, tmap_inv, eval_poly,
-                    _concat, _merge)
+                    _mixed_states, _delta_contract)
 from .jetcalc import is_total_divergence, JetExpr
 from .bvalg import (GenLagrangian, antibracket_density, reduce_cutoff,
                     AF_SUFFIX)
@@ -54,31 +54,14 @@ def diagram_antibracket(A: DiagramPoly, B: DiagramPoly) -> DiagramPoly:
     """{A, B}: a delta-contraction of one u leg of A with one antifield leg
     of B, minus (graded) one antifield leg of A with one u leg of B."""
     out = DiagramPoly(orders=A.orders)
-    for d1, c1 in A.terms.values():
-        n1 = len(d1.verts)
-        for d2, c2 in B.terms.values():
-            verts0, edges0 = _concat(d1, d2)
-            coeff = c1 * c2
-            for i in range(n1):
-                for j in range(n1, len(verts0)):
-                    _ab_term(out, verts0, edges0, i, j, coeff, +1)
-                    _ab_term(out, verts0, edges0, j, i, coeff, -1)
+    for n1, verts, edges, _, coeff in _mixed_states(A, B):
+        for i in range(n1):
+            for j in range(n1, len(verts)):
+                for iu, ia, pref in ((i, j, 1), (j, i, -1)):
+                    term = _delta_contract(verts, edges, iu, ia)
+                    if term:
+                        out._add(term[0], coeff * Fraction(pref * term[1]))
     return out
-
-
-def _ab_term(out, verts0, edges0, iu, ia, coeff, pref):
-    """One contraction: u leg at vertex iu with antifield leg at vertex ia."""
-    vu, va = verts0[iu], verts0[ia]
-    count = vu.u * va.au
-    if not count:
-        return
-    verts = list(verts0)
-    verts[iu] = vu.replace(u=vu.u - 1)
-    verts[ia] = va.replace(au=va.au - 1)
-    sign = pref
-    if sum(verts0[k].au for k in range(ia)) % 2:
-        sign = -sign
-    out._add(_merge(verts, edges0, iu, ia), coeff * Fraction(sign * count))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from bvfact.egren import (DistKernel, theta_power, smooth_kernel,
                           TimeOrder2, t2_build, tn_build, RGElement,
                           main_theorem_check, recover_delta_coefficient)
 from bvfact.freeq import OscillatorModel, field_obs, tprod, eval_poly
-from bvfact.region import mollifier
+from bvfact.region import mollifier, window
+from bvfact.quadrature import QuadratureError
 from bvfact.numfields import Poly1D
 
 MODEL = OscillatorModel(omega=1)
@@ -146,3 +147,23 @@ class TestRenormalizationGroup:
         assert comp.shifts == {1: self.SHIFT}
         comp2 = z.compose(z)
         assert comp2.shifts == {1: 2 * self.SHIFT}
+
+
+class TestDeltaCoefficientOverlap:
+    def test_disjoint_weights_raise(self):
+        T = TimeOrder2(MODEL)
+        T2 = TimeOrder2(MODEL, shifts={1: 0.37})
+        with pytest.raises(ValueError, match="f and g must overlap"):
+            recover_delta_coefficient(T, T2, mollifier(0, Fraction(1, 2)),
+                                      mollifier(2, Fraction(1, 4)))
+
+    def test_unconverged_overlap_raises(self):
+        # a ramp 1e-6 wide inside supp(f g): no rule under the node cap
+        # resolves it, so int f g misses its tolerance
+        f = (window(-1, Fraction(-1, 2), Fraction(-1, 4),
+                    Fraction(-1, 4) + Fraction(1, 10 ** 6))
+             + mollifier(Fraction(1, 2), Fraction(1, 2)))
+        T = TimeOrder2(MODEL)
+        with pytest.raises(QuadratureError) as info:
+            recover_delta_coefficient(T, T, f, mollifier(0, 2))
+        assert info.value.error > 1e-10

@@ -7,11 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bvfact.freeq import (OscillatorModel, green, green_defect, pair_kernel,
                           unit, field_obs, star, tmap, tmap_inv, tprod,
-                          peierls, eval_poly, delta_s0, bv_laplacian, shat0)
+                          peierls, eval_poly, delta_s0, bv_laplacian, shat0,
+                          Diagram, DiagramPoly, Vertex)
 from bvfact.region import mollifier, window
 from bvfact.numfields import Poly1D, Harmonic1D
 
@@ -273,3 +274,68 @@ class TestCanonicalForm:
         assert F1 * G1 == G2 * F2
         assert star(F1, G1) == star(F2, G2)
         assert tprod(F1, G1) == tprod(F2, G2)
+
+
+@st.composite
+def _observables(draw):
+    """A product of one or two `field_obs` (power 0-3, afpower 0-1), passed
+    through delta_s0 half the time so that it carries (Pu) legs."""
+    F = unit()
+    for _ in range(draw(st.integers(1, 2))):
+        spec = draw(_bump_specs())
+        F = F * field_obs(spec[0](*spec[1:]), power=draw(st.integers(0, 3)),
+                          afpower=draw(st.integers(0, 1)))
+    return delta_s0(F) if draw(st.booleans()) else F
+
+
+def _p_only(f):
+    """int (Pu)(t) f(t) dt."""
+    return delta_s0(field_obs(f, power=0, afpower=1))
+
+
+class TestPMarkedContractions:
+    def test_tprod_keeps_the_p_leg_contact_term(self):
+        # P G^F = i delta: the (Pu) leg of F contracts with the u leg of G
+        F = delta_s0(field_obs(F_BUMP, power=1, afpower=1))
+        G = field_obs(mollifier(Fraction(3, 4), Fraction(1, 2)))
+        assert tprod(F, G) == tmap(tmap_inv(F) * tmap_inv(G))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_observables(), _observables())
+    def test_tprod_is_conjugated_product(self, F, G):
+        # either side may meet a (Pu)-(Pu) pair, which has no vertex form;
+        # the right side can miss one the left side meets, when the graded
+        # product cancels it first (T^-1 F . T^-1 F = 0 for odd F)
+        try:
+            rhs = tmap(tmap_inv(F) * tmap_inv(G))
+            lhs = tprod(F, G)
+        except NotImplementedError:
+            assume(False)
+        assert lhs == rhs
+
+    def test_peierls_p_legs_inert(self):
+        # P Delta = 0
+        assert peierls(_p_only(F_BUMP), field_obs(G_BUMP)).is_zero()
+
+    def test_double_p_contraction_raises(self):
+        P1 = _p_only(F_BUMP)
+        P2 = _p_only(mollifier(Fraction(3, 4), Fraction(1, 2)))
+        P11 = DiagramPoly([(Diagram((Vertex(p=2, w=F_BUMP),), ()), 1)])
+        for run in (lambda: tprod(P1, P2), lambda: tmap(P1 * P2),
+                    lambda: tmap(P11)):
+            with pytest.raises(NotImplementedError,
+                               match="i P delta, which has no vertex form"):
+                run()
+
+    def test_closed_form_on_overlapping_weights(self):
+        # overlapping weights keep the P G^F fusions of the conjugated form,
+        # so their Koszul signs count
+        rng = random.Random(0)
+        for _ in range(60):
+            F = unit()
+            for _ in range(rng.randint(2, 3)):
+                c = Fraction(rng.randint(-1, 1), 4)
+                F = F * field_obs(mollifier(c, Fraction(1, 2)),
+                                  power=rng.randint(0, 2),
+                                  afpower=rng.randint(0, 1))
+            assert shat0(F) == shat0(F, closed_form=False)
