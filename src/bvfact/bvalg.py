@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .symexpr import Expr, Symbol, QI, I
-from .jetcalc import (JetExpr, LagForm, jet, testfn, xsym, total_derivative,
-                      euler_lagrange_density, is_total_divergence,
-                      evaluate_local)
+from .jetcalc import (JetExpr, jet, testfn, total_derivative,
+                      euler_lagrange_density, is_total_divergence)
 from .region import Region
 
 
@@ -90,17 +89,6 @@ class LocalFunctional:
 
     def support(self):
         return self.region
-
-    def evaluate(self, fields, tol=1e-10):
-        from .region import Bump, _Const
-        lf = LagForm.top(self.density, self.dim)
-        if self.dim == 1:
-            weight = Bump(_Const(1.0), self.region)
-        else:
-            bnd = self.region.bounds()
-            weight = tuple(Bump(_Const(1.0), Region.interval(lo, hi))
-                           for lo, hi in bnd)
-        return evaluate_local(lf, weight, fields, self.weights, tol=tol)
 
     def __add__(self, other):
         self._chk(other)

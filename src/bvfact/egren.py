@@ -4,26 +4,34 @@ two-fold time-ordered product for the oscillator model, and the comparison of
 two renormalization schemes as a renormalization-group element.
 
 The extension scheme is Taylor subtraction: for a kernel t of scaling degree
-sd on R^k, the extension pairs t with
+sd on R, the extension pairs t with
 
-    f(x) - chi(x) * sum_{|a| <= sd-k} x^a/a! (d^a f)(0)
+    f(x) - chi(x) * sum_{a <= sd-1} x^a/a! (d^a f)(0)
 
 where chi is a fixed cutoff bump equal to 1 near 0, and then adds the scheme
 weights as delta counterterms:
 
-    <t-bar, f> = <t, f - chi*Taylor> + sum_a w_a * (-1)^|a| (d^a f)(0).
+    <t-bar, f> = <t, f - chi*Taylor> + sum_a w_a * (-1)^a (d^a f)(0).
 
 Scaling any Taylor term instead of adding counterterms would leave a
 non-integrable remainder, so the freedom lives entirely in the w_a: the
 difference of two weight choices is exactly a combination of delta
-derivatives at 0 -- the extension ambiguity.  When sd < k the extension is
+derivatives at 0 -- the extension ambiguity.  When sd < 1 the extension is
 unique and the weights are ignored.
+
+Every pairing is a `bvfact.quadrature.integrate` call per piece of the
+support, cut at 0 and at the edges of supp f, so a missed tolerance raises
+`QuadratureError`.  On the pieces that touch 0 a kernel of degree k/q in
+lowest terms is integrated in s = |x|^(1/q), where x^(k/q) is smooth.
 """
 
 import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
+
+from .quadrature import integrate
 from .region import Bump, mollifier, window
 from .freeq import (OscillatorModel, PropagatorKernel, DiagramPoly, tprod,
                     field_obs, eval_poly, _fuse, _hbar_weight,
@@ -44,23 +52,27 @@ class ExtensionError(Exception):
 # ---------------------------------------------------------------------------
 
 class DistKernel:
-    """Closed-form kernel on R^dim minus the origin.
+    """Closed-form kernel on R minus the origin.
 
-    `func` takes dim scalar arguments; `degree` is the declared scaling
-    degree (a Fraction) or None for "unknown, measure it".  Pairing with a
-    test function supported away from 0 is a plain quadrature.
+    `func` takes one scalar; called on an array of points, the kernel
+    applies it at every point, so the quadrature can pass its node arrays.
+    `degree` is the declared scaling degree (a Fraction) or None for
+    "unknown, measure it".  Only dim 1 is supported.  Pairing with a test
+    function supported away from 0 is a plain quadrature.
     """
 
     def __init__(self, dim, func, degree=None, name=None):
-        if dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
+        if dim != 1:
+            raise ValueError("dim must be 1")
         self.dim = dim
         self.func = func
         self.degree = None if degree is None else Fraction(degree)
         self.name = name or "kernel"
 
-    def __call__(self, *x):
-        return self.func(*x)
+    def __call__(self, x):
+        if np.ndim(x):
+            return np.array(np.frompyfunc(self.func, 1, 1)(x).tolist())
+        return self.func(x)
 
     def pair(self, f, tol=1e-10):
         """<t, f>; the integrand must be integrable on supp f."""
@@ -80,9 +92,9 @@ def theta_power(p):
                       degree=p, name="theta/x^%s" % p)
 
 
-def smooth_kernel(func, dim=1, name="smooth"):
+def smooth_kernel(func, name="smooth"):
     """A kernel smooth across the origin: scaling degree 0 (if func(0) != 0)."""
-    return DistKernel(dim, func, degree=0, name=name)
+    return DistKernel(1, func, degree=0, name=name)
 
 
 def feynman_power(model: OscillatorModel, m):
@@ -106,7 +118,6 @@ def scaling_degree(t, exact=True, probe=None, tol=1e-9):
     """
     if exact and getattr(t, "degree", None) is not None:
         return t.degree
-    dim = t.dim
     if probe is None:
         probe = mollifier(1, Fraction(1, 2))
     lams = [2.0 ** -j for j in range(2, 10)]
@@ -116,13 +127,9 @@ def scaling_degree(t, exact=True, probe=None, tol=1e-9):
             # extension-like object: pair with a shrunk copy of the probe
             v = t.pair(mollifier(Fraction(lam), Fraction(lam) / 2),
                        tol=tol) / lam
-        elif dim == 1:
-            v = _quad_cc(lambda x: t(x) * probe(x / lam) / lam,
-                         0.5 * lam, 1.5 * lam, tol)
         else:
-            v = _dblquad_cc(lambda x, y: t(x, y) * probe(x / lam) *
-                            probe(y / lam) / lam ** 2,
-                            0.5 * lam, 1.5 * lam, 0.5 * lam, 1.5 * lam, tol)
+            v = integrate(lambda x: t(x) * probe(x / lam) / lam,
+                          [(0.5 * lam, 1.5 * lam)], tol=tol)
         if abs(v) < 1e-300:
             raise RegressionError("pairing vanished at scale %g" % lam)
         ys.append(math.log(abs(v)))
@@ -135,15 +142,9 @@ def scaling_degree(t, exact=True, probe=None, tol=1e-9):
 
 
 def ambiguity_basis(t: DistKernel):
-    """Labels {d^a delta : |a| <= sd - dim}; empty when sd < dim (unique)."""
+    """Labels {d^a delta : a <= sd - 1}; empty when sd < 1 (unique)."""
     sd = scaling_degree(t)
-    order = math.floor(sd - t.dim)
-    if order < 0:
-        return []
-    if t.dim == 1:
-        return [(a,) for a in range(order + 1)]
-    return [(a, b) for s in range(order + 1)
-            for a in range(s + 1) for b in (s - a,)]
+    return [(a,) for a in range(math.floor(sd - t.dim) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,97 +203,42 @@ def _delta_terms(weights, derivs):
 
 
 def _pair_subtracted(kernel, f, order, weights, chi, tol):
-    if kernel.dim == 1:
-        fb = f.support.bounds()
-        if fb is None:
-            return 0.0
-        lo, hi = float(fb[0][0]), float(fb[0][1])
-        pts = [0.0]
-        if order is not None:
-            pts += [lo, hi]
-            lo = min(lo, -1.0)
-            hi = max(hi, 1.0)
-        f0 = None
-        if order is not None:
-            f0 = [f.deriv(0.0, a) for a in range(order + 1)]
-
-        def integrand(x):
-            v = f(x)
-            if order is not None:
-                c = chi(x)
-                if c:
-                    for a in range(order + 1):
-                        v -= x ** a / math.factorial(a) * f0[a] * c
-            return kernel(x) * v if x != 0.0 else 0.0
-
-        base = _quad_cc(integrand, lo, hi, tol, points=pts)
-        if order is not None and weights:
-            base += _delta_terms(weights,
-                                 {(a,): f0[a] for a in range(order + 1)})
-        return base
-
-    f1, f2 = f
-    b1 = f1.support.bounds()
-    b2 = f2.support.bounds()
-    if b1 is None or b2 is None:
+    fb = f.support.bounds()
+    if fb is None:
         return 0.0
-    xlo, xhi = float(b1[0][0]), float(b1[0][1])
-    ylo, yhi = float(b2[0][0]), float(b2[0][1])
+    lo, hi = float(fb[0][0]), float(fb[0][1])
+    cuts = {lo, hi, 0.0}
+    f0 = []
     if order is not None:
-        xlo, xhi = min(xlo, -1.0), max(xhi, 1.0)
-        ylo, yhi = min(ylo, -1.0), max(yhi, 1.0)
-    d0 = None
-    if order is not None:
-        d0 = {(a, b): f1.deriv(0.0, a) * f2.deriv(0.0, b)
-              for s in range(order + 1) for a in range(s + 1)
-              for b in (s - a,)}
+        # the subtracted integrand also lives on supp chi, inside [-1, 1]
+        f0 = [f.deriv(0.0, a) for a in range(order + 1)]
+        lo, hi = min(lo, -1.0), max(hi, 1.0)
+        cuts |= {lo, hi}
+    cuts = sorted(c for c in cuts if lo <= c <= hi)
 
-    def integrand(x, y):
-        v = f1(x) * f2(y)
-        if order is not None:
-            c = chi(x) * chi(y)
-            if c:
-                for (a, b), dv in d0.items():
-                    v -= (x ** a * y ** b /
-                          (math.factorial(a) * math.factorial(b)) * dv * c)
-        return kernel(x, y) * v if (x, y) != (0.0, 0.0) else 0.0
+    def integrand(x):
+        v = f(x)
+        if f0:
+            v = v - chi(x) * sum(x ** a / math.factorial(a) * d
+                                 for a, d in enumerate(f0))
+        return kernel(x) * v
 
-    base = _dblquad_cc(integrand, xlo, xhi, ylo, yhi, tol)
+    # |x|^(k/q) is smooth in s = |x|^(1/q) on the pieces that touch 0
+    q = kernel.degree.denominator if kernel.degree is not None else 1
+    base = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        if q > 1 and 0.0 in (a, b):
+            sign = 1.0 if b > 0 else -1.0
+            base += integrate(
+                lambda s: integrand(sign * s ** q) * q * s ** (q - 1),
+                [(0.0, abs(a + b) ** (1.0 / q))], tol=tol)
+        else:
+            base += integrate(integrand, [(a, b)], tol=tol)
+    if isinstance(base, complex) and not base.imag:
+        base = base.real
     if order is not None and weights:
-        base += _delta_terms(weights, d0)
+        base += _delta_terms(weights, {(a,): d for a, d in enumerate(f0)})
     return base
-
-
-def _quad_cc(func, lo, hi, tol, points=()):
-    """Complex-capable adaptive quadrature on [lo, hi]."""
-    from scipy.integrate import quad
-
-    pts = [p for p in points if lo < p < hi] or None
-    kw = dict(epsabs=tol, epsrel=tol, limit=300, points=pts)
-    re, _ = quad(lambda x: _part(func(x), 0), lo, hi, **kw)
-    im, _ = quad(lambda x: _part(func(x), 1), lo, hi, **kw)
-    return complex(re, im) if im else re
-
-
-def _dblquad_cc(func, xlo, xhi, ylo, yhi, tol):
-    from scipy.integrate import quad
-
-    def inner(x, part):
-        v, _ = quad(lambda y: _part(func(x, y), part), ylo, yhi,
-                    epsabs=tol, epsrel=tol, limit=200)
-        return v
-
-    re, _ = quad(lambda x: inner(x, 0), xlo, xhi, epsabs=tol, epsrel=tol,
-                 limit=200)
-    im, _ = quad(lambda x: inner(x, 1), xlo, xhi, epsabs=tol, epsrel=tol,
-                 limit=200)
-    return complex(re, im) if im else re
-
-
-def _part(z, which):
-    if isinstance(z, complex):
-        return z.real if which == 0 else z.imag
-    return z if which == 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ base indices; antisymmetry is absorbed into the sorted keys.
 from __future__ import annotations
 
 from .symexpr import Expr, Symbol, QI, _add_into, _merge_monomials
-from .quadrature import QuadratureError
+from .quadrature import QuadratureError, integrate
 
 
 def xsym(i: int) -> Symbol:
@@ -453,89 +453,64 @@ def homotopy_primitive(omega: LagForm, check: bool = True):
 # ---------------------------------------------------------------------------
 
 def _density_value(density: JetExpr, pt, fields, testfns):
-    if density.dim == 1:
-        pt_t = (pt,) if not isinstance(pt, (tuple, list)) else tuple(pt)
-    else:
-        pt_t = tuple(pt)
+    """The density at `pt`: a point or an array of points in dim 1, a pair of
+    coordinates (floats, or arrays that broadcast) in dim 2."""
+    xs = pt if density.dim > 1 else (pt,)
     assign = {}
     for s in density.expr.symbols():
         if s.ns == "x":
-            assign[s] = float(pt_t[s.index[0]])
+            assign[s] = xs[s.index[0]]
         elif s.ns == "jet":
             mu = _pad(s.index, density.dim)
             try:
                 fld = fields[s.name]
             except KeyError:
                 raise KeyError("no sample for field %r" % s.name)
-            assign[s] = fld.jet(pt_t if density.dim > 1 else pt_t[0], mu)
+            assign[s] = fld.jet(pt, mu)
         elif s.ns == "tf":
             mu = _pad(s.index, density.dim)
             try:
                 tf = testfns[s.name]
             except KeyError:
                 raise KeyError("no sample for test function %r" % s.name)
-            assign[s] = tf.jet(pt_t if density.dim > 1 else pt_t[0], mu) \
-                if hasattr(tf, "jet") else tf.deriv(pt_t[0], mu[0])
-    v = density.expr.evalf(assign)
-    return v
-
-
-def _quad_complex(f, lo, hi, tol, limit):
-    """Adaptive quadrature of a complex integrand, one pass per part.
-    Raises QuadratureError when either part's error estimate exceeds
-    100 * max(tol, 1e-12) * max(1, |part|)."""
-    from scipy.integrate import quad
-
-    parts = []
-    for part in (lambda t: f(t).real, lambda t: f(t).imag):
-        v, err = quad(part, lo, hi, epsabs=tol, epsrel=tol, limit=limit)
-        if err > 100 * max(tol, 1e-12) * max(1.0, abs(v)):
-            raise QuadratureError("quadrature did not converge (err=%g)" % err,
-                                  estimate=v, error=err)
-        parts.append(v)
-    re, im = parts
-    return re + 1j * im if im else re
+            assign[s] = tf.jet(pt, mu) if hasattr(tf, "jet") \
+                else tf.deriv(xs[0], mu[0])
+    return density.expr.evalf(assign)
 
 
 def evaluate_local(lagform: LagForm, weight, fields, testfns=None,
-                   tol=1e-10, region=None):
-    """Adaptive quadrature of (density at the sampled field) * weight.
+                   tol=1e-10):
+    """Integral of (density at the sampled field) * weight, one
+    `bvfact.quadrature.integrate` call over the box of the weight's support.
 
     dim 1: weight is a region.Bump.  dim 2: weight is a pair of Bumps
-    (product weight).  Returns a complex number, or a float when the
-    imaginary part is 0.
+    (product weight).  The field samples and test functions are evaluated
+    on the node arrays.  Returns a complex number, or a float when the
+    imaginary part is 0; raises `QuadratureError` when the rule misses `tol`.
     """
     testfns = testfns or {}
     if lagform.degree != lagform.dim:
         raise ValueError("evaluate_local needs a top-degree form")
+    if lagform.dim not in (1, 2):
+        raise NotImplementedError("evaluate_local supports dim 1 and 2")
     density = lagform.component(tuple(range(lagform.dim)))
     if density.is_zero():
         return 0.0
-    if lagform.dim == 1:
-        supp = weight.support.bounds()
-        if supp is None:
-            return 0.0
-        return _quad_complex(
-            lambda t: _density_value(density, t, fields, testfns) * weight(t),
-            float(supp[0][0]), float(supp[0][1]), tol, 200)
-    if lagform.dim == 2:
-        wt, wx = weight
-        bt = wt.support.bounds()
-        bx = wx.support.bounds()
-        if bt is None or bx is None:
-            return 0.0
-        inner_values = {}  # the real and imaginary outer passes share nodes
+    weights = (weight,) if lagform.dim == 1 else tuple(weight)
+    boxes = [w.support.bounds() for w in weights]
+    if None in boxes:
+        return 0.0
 
-        def inner(t):
-            if t not in inner_values:
-                inner_values[t] = wt(t) * _quad_complex(
-                    lambda x: _density_value(density, (t, x), fields, testfns)
-                    * wx(x), float(bx[0][0]), float(bx[0][1]), tol * 10, 100)
-            return inner_values[t]
+    def integrand(*xs):
+        pt = xs[0] if lagform.dim == 1 else xs
+        v = _density_value(density, pt, fields, testfns)
+        for w, x in zip(weights, xs):
+            v = v * w(x)
+        return v
 
-        return _quad_complex(inner, float(bt[0][0]), float(bt[0][1]),
-                             tol * 10, 100)
-    raise NotImplementedError("evaluate_local supports dim 1 and 2")
+    val = integrate(integrand, [(float(b[0][0]), float(b[0][1]))
+                                for b in boxes], tol=tol)
+    return val.real if isinstance(val, complex) and not val.imag else val
 
 
 # ---------------------------------------------------------------------------

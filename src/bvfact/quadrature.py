@@ -1,5 +1,11 @@
 """Fixed-rule quadrature on boxes, for smooth integrands with known kinks.
 
+This is the one integrator of the package: it serves the `freeq` pairings
+and diagrams, the `egren` pairings, `jetcalc.evaluate_local` and the CLI.
+`egren` cuts its intervals at 0 and at the edges of supp f, and on the
+pieces that touch 0 integrates a kernel of degree k/q in s = |x|^(1/q),
+where the endpoint singularity x^(k/q) becomes smooth.
+
 An integral over the box prod_l [lo_l, hi_l] is taken with an n-point
 Gauss-Legendre rule on every axis (a tensor rule).  n doubles until two
 successive rules agree,

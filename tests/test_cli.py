@@ -108,3 +108,36 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=300)
         assert res.returncode == 0, res.stderr
         assert json.loads(out.read_text())["scenario"] == "olver-exactness"
+
+
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None   # any import of scipy now raises ImportError
+from fractions import Fraction
+from bvfact.cli import main
+from bvfact.jetcalc import JetExpr, LagForm, evaluate_local, jet
+from bvfact.numfields import Poly1D, Separable2D
+from bvfact.region import mollifier
+
+out = sys.argv[1]
+for suite in ("eg-extend", "rg-check"):
+    assert main([suite, "--seed", "0", "--out", out]) == 0, suite
+w = mollifier(0, Fraction(1, 2))
+u = JetExpr.of(jet("u", (), 0), 2)
+fields = {"u": Separable2D(Poly1D([1, 1]), Poly1D([1]))}
+assert evaluate_local(LagForm.top(u, 2), (w, w), fields) > 0.04
+"""
+
+
+class TestScipyFreeRuntime:
+    def test_scenarios_run_without_scipy(self, tmp_path):
+        import bvfact
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            bvfact.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        res = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY, str(tmp_path / "r.json")],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert res.returncode == 0, res.stderr

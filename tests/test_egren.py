@@ -167,3 +167,26 @@ class TestDeltaCoefficientOverlap:
         with pytest.raises(QuadratureError) as info:
             recover_delta_coefficient(T, T, f, mollifier(0, 2))
         assert info.value.error > 1e-10
+
+
+class TestFractionalDegreeExtension:
+    # References: <theta/x^p extended, f> for f = mollifier(1/8, 1/2) and the
+    # standard cutoff, computed with mpmath at 40 digits: on [0, 1/1000],
+    # where chi = 1, the Taylor series of f to order 30 is integrated term
+    # by term against x^-p; mpmath.quad takes the rest, cut at 1/2 and 5/8.
+    REFS = {Fraction(1, 2): 0.46803332120164608,
+            Fraction(3, 2): 0.0043419733652691586}
+
+    def test_matches_reference(self):
+        f = mollifier(Fraction(1, 8), Fraction(1, 2))
+        for p, ref in self.REFS.items():
+            assert abs(extend(theta_power(p)).pair(f) - ref) < 1e-9
+
+    def test_unresolved_cancellation_raises(self):
+        # for p = 5/2 the reference is -2.8122549023, but f - f(0) - x f'(0)
+        # cancels to rounding noise at the nodes next to 0, so the rules
+        # never agree; a value must not come back
+        f = mollifier(Fraction(1, 8), Fraction(1, 2))
+        with pytest.raises(QuadratureError) as info:
+            extend(theta_power(Fraction(5, 2))).pair(f)
+        assert info.value.error > 1e-9
