@@ -28,15 +28,15 @@ lowest terms is integrated in s = |x|^(1/q), where x^(k/q) is smooth.
 import math
 import warnings
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
 from .quadrature import integrate
-from .region import Bump, mollifier, window
+from .region import Bump, mollifier, not_later, window
 from .freeq import (OscillatorModel, PropagatorKernel, DiagramPoly, tprod,
                     field_obs, eval_poly, _fuse, _hbar_weight,
                     _mixed_states, _overlap_integral)
-from .symexpr import Expr, FormalSeries
 
 
 class RegressionError(Exception):
@@ -256,15 +256,25 @@ class TimeOrder2:
     deliberate non-minimal choice: shifts[m] = c adds c*delta(t-s) to the
     m-edge kernel, producing contact terms -- the freedom the
     renormalization-group comparison quantifies.
+
+    `apply` is bilinear: each ordered pair of diagrams is expanded once per
+    scheme, with unit coefficients, and kept on the instance; `shifts` is
+    read-only so that the kept expansions stay valid.
     """
 
     def __init__(self, model=None, shifts=None, orders=(3, 2)):
         self.model = model if model is not None else OscillatorModel(1, orders)
         self.orders = tuple(orders)
-        self.shifts = dict(shifts or {})
-        for m in self.shifts:
+        self._shifts = dict(shifts or {})
+        for m in self._shifts:
             if not (1 <= m <= self.orders[0]):
                 raise ValueError("shift order %r out of hbar range" % (m,))
+        self._pairs = {}  # (d1 key, d2 key, orders) -> [(Diagram, series)]
+
+    @property
+    def shifts(self):
+        """The diagonal choice {m: c}, fixed at construction."""
+        return MappingProxyType(self._shifts)
 
     def kernels(self):
         """The diagonal kernels with their (unique) extensions, per edge count."""
@@ -275,16 +285,34 @@ class TimeOrder2:
         return out
 
     def apply(self, F: DiagramPoly, G: DiagramPoly) -> DiagramPoly:
-        base = tprod(F, G)
-        for m, c in self.shifts.items():
-            if not c:
-                continue
-            base = base + _contact_terms(F, G, m, c)
-        return base
+        """T(F, G): for each diagram pair, c1 c2 times the pair's
+        expansion."""
+        out = DiagramPoly(orders=F.orders)
+        for d1, c1 in F.terms.values():
+            for d2, c2 in G.terms.values():
+                c = c1 * c2
+                for d, e in self._pair(d1, d2, F.orders):
+                    out._add(d, e * c)
+        return out
+
+    def _pair(self, d1, d2, orders):
+        """The terms of tprod plus the contact terms on the unit-coefficient
+        pair (d1, d2), expanded on first use."""
+        key = (d1.key(), d2.key(), orders)
+        terms = self._pairs.get(key)
+        if terms is None:
+            F = DiagramPoly([(d1, 1)], orders)
+            G = DiagramPoly([(d2, 1)], orders)
+            P = tprod(F, G)
+            for m, c in self._shifts.items():
+                if c:
+                    P = P + _contact_terms(F, G, m, c)
+            terms = self._pairs[key] = list(P.terms.values())
+        return terms
 
     def __repr__(self):
         return "TimeOrder2(omega=%g, shifts=%r)" % (self.model.omega,
-                                                    self.shifts)
+                                                    self._shifts)
 
 
 def _falling(n, m):
@@ -401,13 +429,15 @@ def main_theorem_check(T: TimeOrder2, T2: TimeOrder2, battery,
     report["scheme_transport"] = all(
         (T.apply(F, F) + z2(F, F)) == T2.apply(F, F) for F in battery)
 
+    supports = [F.support() for F in battery]
+
     # diagonal support: Z2 on disjointly supported pairs vanishes
     dev = 0.0
     pairs = 0
     for a in range(len(battery)):
         for b in range(a + 1, len(battery)):
             F, G = battery[a], battery[b]
-            if not F.support().disjoint_from(G.support()):
+            if not supports[a].disjoint_from(supports[b]):
                 continue
             pairs += 1
             val = z2(F, G)
@@ -429,10 +459,9 @@ def main_theorem_check(T: TimeOrder2, T2: TimeOrder2, battery,
                 if len({a, b, c_}) < 3:
                     continue
                 F1, Fm, F2 = battery[a], battery[b], battery[c_]
-                s1, s2 = F1.support(), F2.support()
+                s1, s2 = supports[a], supports[c_]
                 if not s1.disjoint_from(s2):
                     continue
-                from .region import not_later
                 if not not_later(s1, s2):
                     continue
                 triples += 1

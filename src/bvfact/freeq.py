@@ -38,7 +38,7 @@ from itertools import permutations, product as iproduct
 
 import numpy as np
 
-from .symexpr import Expr, QI, I, FormalSeries
+from .symexpr import I, FormalSeries
 from .region import Bump, Region, not_later
 from .quadrature import integrate
 
@@ -215,12 +215,14 @@ class Diagram:
 
     `sign` multiplies the coefficient `DiagramPoly._add` gives the diagram:
     the Koszul sign of reaching the canonical vertex order (and of a vertex
-    fusion, see `_fuse`), or 0 for a diagram that is zero.
+    fusion, see `_fuse`), or 0 for a diagram that is zero.  `key()` is
+    computed once.
     """
 
-    __slots__ = ("verts", "edges", "sign")
+    __slots__ = ("verts", "edges", "sign", "_key")
 
     def __init__(self, verts, edges, canonicalize=True):
+        self._key = None
         if not canonicalize:
             self.verts = tuple(verts)
             self.edges = tuple(sorted(edges))
@@ -259,7 +261,9 @@ class Diagram:
         self.sign = best[2]
 
     def key(self):
-        return (tuple(v.key() for v in self.verts), self.edges)
+        if self._key is None:
+            self._key = (tuple(v.key() for v in self.verts), self.edges)
+        return self._key
 
     def __repr__(self):
         es = ",".join("%d-%d:%s" % (a, b, k) for a, b, k, _ in self.edges)
@@ -301,17 +305,19 @@ class DiagramPoly:
         if not isinstance(coeff, FormalSeries):
             coeff = FormalSeries.const(coeff, self.orders)
         if diag.sign < 0:
-            coeff = coeff * Fraction(-1)
+            coeff = -coeff
         k = diag.key()
-        if k in self.terms:
-            c = self.terms[k][1] + coeff
+        old = self.terms.get(k)
+        if old is not None:
+            c = old[1] + coeff
             if c.is_zero():
                 del self.terms[k]
             else:
-                self.terms[k] = (self.terms[k][0], c)
+                self.terms[k] = (old[0], c)
         elif not coeff.is_zero():
-            self.terms[k] = (Diagram(diag.verts, diag.edges,
-                                     canonicalize=False), coeff)
+            if diag.sign != 1:
+                diag = Diagram(diag.verts, diag.edges, canonicalize=False)
+            self.terms[k] = (diag, coeff)
 
     # -- ring structure --------------------------------------------------
 
@@ -353,12 +359,8 @@ class DiagramPoly:
                           for d, c in self.terms.values()) or "0"
 
     def support(self):
-        reg = Region.empty(1)
-        for d, _ in self.terms.values():
-            for v in d.verts:
-                if v.w is not None:
-                    reg = reg.union(v.w.support)
-        return reg
+        return Region([b for d, _ in self.terms.values() for v in d.verts
+                       if v.w is not None for b in v.w.support.boxes], 1)
 
     def max_hbar(self):
         out = 0
@@ -486,8 +488,8 @@ def _delta_contract(verts, edges, iu, ia):
 
 def _hbar_weight(k, orders, sign=1):
     """hbar^k / k! as a FormalSeries, with an optional (-1)^k for inverses."""
-    c = Fraction(sign ** k, math.factorial(k))
-    return FormalSeries({(k, 0): Expr.const(c)}, orders)
+    return FormalSeries({(k, 0): Fraction(sign ** k, math.factorial(k))},
+                        orders)
 
 
 def _mixed_states(F: DiagramPoly, G: DiagramPoly):
@@ -639,7 +641,7 @@ def eval_poly(P: DiagramPoly, model, fields, tol=1e-10):
         if v == 0:
             continue
         for pq, e in c.coeffs.items():
-            z = e.constant_part().to_complex() * v
+            z = e.to_complex() * v
             if z:
                 out[pq] = out.get(pq, 0) + z
     return out
@@ -734,6 +736,6 @@ def shat0(F: DiagramPoly, closed_form=True) -> DiagramPoly:
     """Free quantum BV differential s0 = T^-1 o delta_S0 o T; the closed
     form is delta_S0 - i hbar Laplacian."""
     if closed_form:
-        ihbar = FormalSeries({(1, 0): Expr.const(I)}, F.orders)
+        ihbar = FormalSeries({(1, 0): I}, F.orders)
         return delta_s0(F) - bv_laplacian(F).scale(ihbar)
     return tmap_inv(delta_s0(tmap(F)))

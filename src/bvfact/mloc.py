@@ -130,7 +130,7 @@ class MultilocalObs:
         """Dict (hbar power, lambda power) -> numeric value."""
         out = {}
         for (p, q), c in self.constant.coeffs.items():
-            v = c.constant_part().to_complex()
+            v = c.to_complex()
             if v:
                 out[(p, q)] = out.get((p, q), 0) + v
         for t in self.terms:
@@ -138,7 +138,7 @@ class MultilocalObs:
             for s, w in zip(t.slots, t.weights):
                 prod *= evaluate_local(LagForm.top(s, s.dim), w, fields, tol=tol)
             for (p, q), c in t.coeff.coeffs.items():
-                v = c.constant_part().to_complex() * prod
+                v = c.to_complex() * prod
                 if v:
                     out[(p, q)] = out.get((p, q), 0) + v
         return {k: v for k, v in out.items() if v != 0}

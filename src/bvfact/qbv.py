@@ -11,7 +11,7 @@ not postulated, and the measurement doubles as the null test.
 import math
 from fractions import Fraction
 
-from .symexpr import Expr, FormalSeries, I
+from .symexpr import FormalSeries, I
 from .region import Region, Bump, window
 from .freeq import (OscillatorModel, DiagramPoly, field_obs, shat0,
                     delta_s0, bv_laplacian, tmap, tmap_inv, eval_poly,
@@ -32,7 +32,7 @@ class QMEError(Exception):
 def interaction_vertex(f: Bump, power=4, coupling=1,
                        orders=(3, 2)) -> DiagramPoly:
     """V = lambda * coupling * int f(t) u(t)^power dt as a diagram."""
-    lam = FormalSeries({(0, 1): Expr.const(Fraction(coupling))}, orders)
+    lam = FormalSeries({(0, 1): Fraction(coupling)}, orders)
     return field_obs(f, power=power, orders=orders).scale(lam)
 
 
@@ -91,7 +91,7 @@ def check_qme_vertex(V: DiagramPoly, fake_anomaly=None, tol=1e-8):
     """QME residual for S0 + V at the diagram level:
     (1/2){V, V} + {S0, V} - i hbar Laplacian(V) (+ an injected fake anomaly),
     reported per (hbar, lambda) order."""
-    ih = FormalSeries({(1, 0): Expr.const(I)}, V.orders)
+    ih = FormalSeries({(1, 0): I}, V.orders)
     resid = (diagram_antibracket(V, V).scale(Fraction(1, 2)) +
              delta_s0(V) - bv_laplacian(V).scale(ih))
     if fake_anomaly is not None:

@@ -143,6 +143,10 @@ class QI:
     def conj(self):
         return _qi(self.a, -self.b, self.d)
 
+    def constant_part(self):
+        """The QI itself: a number is its own constant part, as for Expr."""
+        return self
+
     def to_complex(self):
         return complex(self.a / self.d, self.b / self.d)
 
@@ -532,7 +536,13 @@ def _as_expr(x):
 
 
 class FormalSeries:
-    """Truncated formal power series in hbar and lam with Expr coefficients."""
+    """Truncated formal power series in hbar and lam with coefficients in
+    Q(i).
+
+    `coeffs` maps (hbar power, lam power) to a nonzero `QI`.  A coefficient
+    may be given as anything `QI.of` reads or as a constant `Expr`; a
+    non-constant `Expr` raises ValueError.
+    """
 
     __slots__ = ("coeffs", "orders")
 
@@ -540,35 +550,30 @@ class FormalSeries:
         self.orders = tuple(orders)
         cs = {}
         if coeffs:
-            for (p, q), e in coeffs.items():
-                e = _as_expr(e)
-                if p <= orders[0] and q <= orders[1] and e:
-                    cs[(p, q)] = e
+            for (p, q), c in coeffs.items():
+                c = _series_coeff(c)
+                if p <= orders[0] and q <= orders[1] and c:
+                    cs[(p, q)] = c
         self.coeffs = cs
 
     @staticmethod
     def const(c, orders=(3, 2)):
-        return FormalSeries({(0, 0): Expr.const(c)}, orders)
+        return FormalSeries({(0, 0): c}, orders)
 
     def __getitem__(self, pq):
-        return self.coeffs.get(tuple(pq), Expr.zero())
+        return self.coeffs.get(tuple(pq), ZERO)
 
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
         acc = dict(self.coeffs)
-        for k, e in other.coeffs.items():
-            v = acc.get(k, Expr.zero()) + e
-            if v:
-                acc[k] = v
-            elif k in acc:
-                del acc[k]
-        return FormalSeries(acc, self.orders)
+        _add_into(acc, other.coeffs)
+        return _series(acc, self.orders)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FormalSeries({k: -e for k, e in self.coeffs.items()}, self.orders)
+        return _series({k: -c for k, c in self.coeffs.items()}, self.orders)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -576,25 +581,29 @@ class FormalSeries:
     def __mul__(self, other):
         other = self._coerce(other)
         self._check(other)
+        hmax, lmax = self.orders
         acc = {}
-        for (p1, q1), e1 in self.coeffs.items():
-            for (p2, q2), e2 in other.coeffs.items():
+        for (p1, q1), c1 in self.coeffs.items():
+            for (p2, q2), c2 in other.coeffs.items():
                 p, q = p1 + p2, q1 + q2
-                if p > self.orders[0] or q > self.orders[1]:
+                if p > hmax or q > lmax:
                     continue
-                v = acc.get((p, q), Expr.zero()) + e1 * e2
-                if v:
-                    acc[(p, q)] = v
-                elif (p, q) in acc:
-                    del acc[(p, q)]
-        return FormalSeries(acc, self.orders)
+                c = c1 * c2
+                v = acc.get((p, q))
+                if v is not None:
+                    c = v + c
+                    if not c:
+                        del acc[(p, q)]
+                        continue
+                acc[(p, q)] = c
+        return _series(acc, self.orders)
 
     __rmul__ = __mul__
 
     def _coerce(self, other):
         if isinstance(other, FormalSeries):
             return other
-        return FormalSeries({(0, 0): _as_expr(other)}, self.orders)
+        return FormalSeries({(0, 0): other}, self.orders)
 
     def _check(self, other):
         if self.orders != other.orders:
@@ -612,9 +621,6 @@ class FormalSeries:
     def is_zero(self):
         return not self.coeffs
 
-    def map(self, fn):
-        return FormalSeries({k: fn(e) for k, e in self.coeffs.items()}, self.orders)
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -630,6 +636,23 @@ class FormalSeries:
         return " + ".join(parts)
 
 
+def _series_coeff(c):
+    """A series coefficient as a QI; an Expr must be constant."""
+    if isinstance(c, Expr):
+        if any(c.terms):
+            raise ValueError("series coefficient %r is not constant" % (c,))
+        return c.constant_part()
+    return QI.of(c)
+
+
+def _series(coeffs, orders):
+    """FormalSeries from nonzero QI coefficients within `orders`."""
+    s = object.__new__(FormalSeries)
+    s.coeffs = coeffs
+    s.orders = orders
+    return s
+
+
 def series_exp(a: FormalSeries) -> FormalSeries:
     """exp of a series with no (0,0) term, truncated."""
     if (0, 0) in a.coeffs:
@@ -641,8 +664,9 @@ def series_exp(a: FormalSeries) -> FormalSeries:
         term = term * a
         if term.is_zero():
             break
-        out = out + term.map(lambda e, k=k: e.map_coeff(
-            lambda c: c * Fraction(1, math.factorial(k))))
+        inv = QI(Fraction(1, math.factorial(k)))
+        out = out + _series({pq: c * inv for pq, c in term.coeffs.items()},
+                            a.orders)
     return out
 
 

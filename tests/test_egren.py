@@ -7,16 +7,23 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bvfact import egren
 from bvfact.egren import (DistKernel, theta_power, smooth_kernel,
                           feynman_power, scaling_degree, ambiguity_basis,
                           standard_cutoff, ExtendedDist, extend,
                           TimeOrder2, t2_build, tn_build, RGElement,
-                          main_theorem_check, recover_delta_coefficient)
-from bvfact.freeq import OscillatorModel, field_obs, tprod, eval_poly
+                          main_theorem_check, recover_delta_coefficient,
+                          _contact_terms)
+from bvfact.freeq import (OscillatorModel, field_obs, tprod, eval_poly,
+                          unit, delta_s0, DiagramPoly)
+from bvfact.symexpr import QI, FormalSeries
 from bvfact.region import mollifier, window
 from bvfact.quadrature import QuadratureError
 from bvfact.numfields import Poly1D
+
+from test_freeq import _bump_specs
 
 MODEL = OscillatorModel(omega=1)
 
@@ -190,3 +197,104 @@ class TestFractionalDegreeExtension:
         with pytest.raises(QuadratureError) as info:
             extend(theta_power(Fraction(5, 2))).pair(f)
         assert info.value.error > 1e-9
+
+
+_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def _multi_term(draw):
+    """A sum of one to three terms, each a product of one or two
+    `field_obs` times a nonzero series coefficient; half the time delta_s0
+    of the sum is added, which carries (Pu) legs."""
+    F = DiagramPoly()
+    for _ in range(draw(st.integers(1, 3))):
+        term = unit()
+        for _ in range(draw(st.integers(1, 2))):
+            spec = draw(_bump_specs())
+            term = term * field_obs(spec[0](*spec[1:]),
+                                    power=draw(st.integers(0, 3)),
+                                    afpower=draw(st.integers(0, 1)))
+        coeff = FormalSeries({(draw(st.integers(0, 1)), draw(
+            st.integers(0, 1))): QI(draw(_SMALL.filter(bool)), draw(_SMALL))})
+        F = F + term.scale(coeff)
+    return F + delta_s0(F) if draw(st.booleans()) else F
+
+
+_SHIFTS = st.dictionaries(st.integers(1, 3), _SMALL.filter(bool),
+                          max_size=2)
+
+
+def _direct(shifts, F, G):
+    """tprod(F, G) plus the contact terms of every shift, on the whole
+    observables at once."""
+    out = tprod(F, G)
+    for m, c in shifts.items():
+        out = out + _contact_terms(F, G, m, c)
+    return out
+
+
+def _table(P):
+    return {k: c.coeffs for k, (_, c) in P.terms.items()}
+
+
+class TestBilinearTimeOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_multi_term(), min_size=2, max_size=3), _SHIFTS)
+    def test_pairwise_expansion_matches_direct(self, polys, shifts):
+        # one scheme per shift choice, reused over every ordered pair; the
+        # second scheme differs in its hbar^1 shift only
+        other = {**shifts, 1: shifts.get(1, 0) + Fraction(1, 8)}
+        schemes = [(TimeOrder2(MODEL, shifts=shifts), shifts),
+                   (TimeOrder2(MODEL, shifts=other), other)]
+        for F in polys:
+            for G in polys:
+                for T, sh in schemes:
+                    try:
+                        want = _direct(sh, F, G)
+                    except NotImplementedError:
+                        # a (Pu)-(Pu) pair under G^F: no vertex form
+                        with pytest.raises(NotImplementedError):
+                            T.apply(F, G)
+                        continue
+                    got = T.apply(F, G)
+                    assert _table(got) == _table(want)
+                    assert all(type(c) is QI for _, s in got.terms.values()
+                               for c in s.coeffs.values())
+
+    def test_schemes_keep_their_own_expansions(self):
+        F = field_obs(mollifier(0, Fraction(1, 2)), power=2)
+        G = field_obs(mollifier(Fraction(1, 4), Fraction(1, 4)), power=2)
+        Ta = TimeOrder2(MODEL, shifts={1: Fraction(1, 4)})
+        Tb = TimeOrder2(MODEL, shifts={1: Fraction(-1, 2), 2: 1})
+        for _ in range(2):
+            for T in (Ta, Tb):
+                assert T.apply(F, G) == _direct(dict(T.shifts), F, G)
+        assert Ta.apply(F, G) != Tb.apply(F, G)
+
+    def test_shifts_are_read_only(self):
+        T = TimeOrder2(MODEL, shifts={1: 0.2})
+        with pytest.raises(AttributeError):
+            T.shifts = {1: 0.3}
+        with pytest.raises(TypeError):
+            T.shifts[1] = 0.3
+        assert T.shifts == {1: 0.2}
+
+    def test_main_theorem_expands_each_pair_once_per_scheme(self, monkeypatch):
+        # a four-item battery has 16 ordered pairs of diagrams; every check
+        # of main_theorem_check reuses their expansions
+        calls = []
+
+        def counting_tprod(F, G):
+            calls.append((len(F.terms), len(G.terms)))
+            return tprod(F, G)
+
+        monkeypatch.setattr(egren, "tprod", counting_tprod)
+        battery = [field_obs(mollifier(Fraction(c), Fraction(1, 4)), power=p)
+                   for c, p in [(-2, 1), (0, 2), (2, 1), (0, 1)]]
+        fields = [{"u": Poly1D([0.4, 0.15, -0.1])}]
+        T, T2 = TimeOrder2(MODEL), TimeOrder2(MODEL, shifts={1: 0.37})
+        _, rep = main_theorem_check(T, T2, battery, fields=fields)
+        assert rep["ok"]
+        assert len(calls) == 2 * 16
+        assert set(calls) == {(1, 1)}

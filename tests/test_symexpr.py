@@ -342,3 +342,30 @@ class TestGradesKeptApart:
         assert ab == ba and not ab.is_zero()
         assert ab.homogeneous_grade() == -1
         assert ab != Expr.sym(a) ** 2
+
+
+class TestSeriesOverQI:
+    def test_non_constant_expr_coefficient_raises(self):
+        u = Expr.sym(sym("u"))
+        for c in (u, Expr.const(2) + u):
+            with pytest.raises(ValueError, match="not constant"):
+                FormalSeries({(1, 0): c}, orders=(3, 2))
+        with pytest.raises(ValueError, match="not constant"):
+            FormalSeries.const(1, (3, 2)) * u
+
+    @given(qi_values, qi_values)
+    @settings(max_examples=50, deadline=None)
+    def test_coefficients_are_qi(self, a, b):
+        x = FormalSeries({(1, 0): Expr.const(a), (0, 1): b}, orders=(3, 2))
+        y = FormalSeries({(1, 1): Fraction(2, 3), (0, 0): 1j}, orders=(3, 2))
+        for s in (x, x + y, x - y, x * y, -x, y * Fraction(1, 3),
+                  series_exp(x)):
+            assert all(type(c) is QI for c in s.coeffs.values())
+        assert x[(2, 2)] == 0 and type(x[(2, 2)]) is QI
+        assert x[(1, 0)] == a and x[(0, 1)] == b
+
+    def test_constant_part_of_qi_is_itself(self):
+        for c in (QI(Fraction(3, 4), -2), I, QI(0)):
+            assert c.constant_part() is c
+        s = FormalSeries({(1, 0): Expr.const(I)}, orders=(3, 2))
+        assert s.coeffs[(1, 0)].constant_part().to_complex() == 1j
