@@ -34,6 +34,7 @@ import numpy as np
 
 from .quadrature import integrate
 from .region import Bump, mollifier, not_later, window
+from .symexpr import QI
 from .freeq import (OscillatorModel, PropagatorKernel, DiagramPoly, tprod,
                     field_obs, eval_poly, _fuse, _hbar_weight,
                     _mixed_states, _overlap_integral)
@@ -176,9 +177,6 @@ class ExtendedDist:
             self.weights = dict(weights or {})
         self.chi = chi if chi is not None else standard_cutoff()
 
-    def basis(self):
-        return ambiguity_basis(self.kernel)
-
     def pair(self, f, tol=1e-9):
         """<t-bar, f> with the Taylor-subtracted integrand."""
         order = self.order if self.order >= 0 else None
@@ -275,14 +273,6 @@ class TimeOrder2:
     def shifts(self):
         """The diagonal choice {m: c}, fixed at construction."""
         return MappingProxyType(self._shifts)
-
-    def kernels(self):
-        """The diagonal kernels with their (unique) extensions, per edge count."""
-        out = []
-        for m in range(1, self.orders[0] + 1):
-            k = feynman_power(self.model, m)
-            out.append((m, k, extend(k)))
-        return out
 
     def apply(self, F: DiagramPoly, G: DiagramPoly) -> DiagramPoly:
         """T(F, G): for each diagram pair, c1 c2 times the pair's
@@ -402,10 +392,17 @@ def main_theorem_check(T: TimeOrder2, T2: TimeOrder2, battery,
     first scheme with Z reproduces the second, and the Hammerstein identity
     on ordered disjoint triples.
 
-    `battery` is a list of DiagramPoly observables; pairs with disjoint
-    supports among them feed the diagonal-support and Hammerstein checks.
+    `battery` is a list of DiagramPoly observables F_a.  Z2 is bilinear, so
+    the checks read one table Z2(F_a, F_b) over all n^2 ordered pairs, built
+    with 2 n^2 `TimeOrder2.apply` calls (2 more go to Z(0)); the diagonal
+    T(F_a, F_a), T2(F_a, F_a) are kept for the scheme transport.  Pairs with
+    disjoint supports feed the diagonal-support check, ordered disjoint
+    triples the Hammerstein check.  The table is eager, so items whose
+    series orders differ raise `ValueError` even where no check reads their
+    pair.  A (Pu)-(Pu) contraction raises `NotImplementedError`: it needs
+    (Pu) legs in both items, so the diagonal pair of either meets it too.
     `fields` is a list of field samples (dicts with entry "u") for numeric
-    evaluation; a default cosine sample is used if omitted.
+    evaluation, by default one quadratic u.
     """
     model = model or T.model
     if fields is None:
@@ -425,62 +422,71 @@ def main_theorem_check(T: TimeOrder2, T2: TimeOrder2, battery,
     zero = DiagramPoly(orders=battery[0].orders if battery else (3, 2))
     report["z_of_zero_is_zero"] = Z.apply(zero).is_zero()
 
-    # composition: T(F,F) + Z2(F,F) = T2(F,F), symbolically, per battery item
-    report["scheme_transport"] = all(
-        (T.apply(F, F) + z2(F, F)) == T2.apply(F, F) for F in battery)
+    n = len(battery)
+    table, transport = {}, True
+    for a, F in enumerate(battery):
+        for b, G in enumerate(battery):
+            t, t2 = T.apply(F, G), T2.apply(F, G)
+            table[a, b] = t2 - t
+            if a == b:
+                # composition: T(F,F) + Z2(F,F) = T2(F,F), symbolically
+                transport = transport and (t + table[a, a]) == t2
+    report["scheme_transport"] = transport
 
     supports = [F.support() for F in battery]
 
+    def max_dev(P):
+        if P.is_zero():
+            return 0.0
+        return max((abs(v) for fld in fields for v in
+                    eval_poly(P, model, fld, tol=tol * 1e-2).values()),
+                   default=0.0)
+
     # diagonal support: Z2 on disjointly supported pairs vanishes
-    dev = 0.0
-    pairs = 0
-    for a in range(len(battery)):
-        for b in range(a + 1, len(battery)):
-            F, G = battery[a], battery[b]
-            if not supports[a].disjoint_from(supports[b]):
-                continue
-            pairs += 1
-            val = z2(F, G)
-            if val.is_zero():
-                continue
-            for fld in fields:
-                for v in eval_poly(val, model, fld, tol=tol * 1e-2).values():
-                    dev = max(dev, abs(v))
-    report["diagonal_support_pairs"] = pairs
+    disjoint = [(a, b) for a in range(n) for b in range(a + 1, n)
+                if supports[a].disjoint_from(supports[b])]
+    dev = max((max_dev(table[ab]) for ab in disjoint), default=0.0)
+    report["diagonal_support_pairs"] = len(disjoint)
     report["diagonal_support_dev"] = dev
 
-    # Hammerstein on ordered disjoint triples: with Z quadratic the identity
-    # Z(F1+F+F2) = Z(F1+F) - Z(F) + Z(F2+F) reduces to Z2(F1, F2) = 0.
-    hdev = 0.0
-    triples = 0
-    for a in range(len(battery)):
-        for b in range(len(battery)):
-            for c_ in range(len(battery)):
-                if len({a, b, c_}) < 3:
-                    continue
-                F1, Fm, F2 = battery[a], battery[b], battery[c_]
-                s1, s2 = supports[a], supports[c_]
-                if not s1.disjoint_from(s2):
-                    continue
-                if not not_later(s1, s2):
-                    continue
-                triples += 1
-                lhs = Z.apply(F1 + Fm + F2)
-                rhs = (Z.apply(F1 + Fm) - Z.apply(Fm)) + Z.apply(F2 + Fm)
-                resid = lhs - rhs
-                if resid.is_zero():
-                    continue
-                for fld in fields:
-                    for v in eval_poly(resid, model, fld,
-                                       tol=tol * 1e-2).values():
-                        hdev = max(hdev, abs(v))
-    report["hammerstein_triples"] = triples
+    # Hammerstein on ordered disjoint triples (F1, F, F2) = (F_a, F_b, F_c):
+    # the residual Z(F1+F+F2) - Z(F1+F) + Z(F) - Z(F2+F) is summed from the
+    # battery and the table by integer multiplicities.  All of them cancel
+    # but those of (a, c) and (c, a), so it is (Z2(F1, F2) + Z2(F2, F1))/2.
+    triples = [(a, b, c) for a in range(n) for b in range(n)
+               for c in range(n) if len({a, b, c}) == 3
+               and supports[a].disjoint_from(supports[c])
+               and not_later(supports[a], supports[c])]
+    hdev = max((max_dev(_z_of_sums(battery, table, [
+        (1, (a, b, c)), (-1, (a, b)), (1, (b,)), (-1, (c, b))]))
+        for a, b, c in triples), default=0.0)
+    report["hammerstein_triples"] = len(triples)
     report["hammerstein_dev"] = hdev
 
     report["ok"] = (report["z_of_zero_is_zero"] and
                     report["scheme_transport"] and
                     dev <= tol and hdev <= tol)
     return Z, report
+
+
+def _z_of_sums(battery, table, sums) -> DiagramPoly:
+    """sum_k s_k Z(sum_{a in S_k} F_a) for sums = [(s_k, S_k)], where
+    Z(F) = F + Z2(F, F)/2: the multiplicities m_a of the items and m_ab of
+    the entries table[a, b] = Z2(F_a, F_b) are summed first, and only the
+    nonzero ones add m_a F_a or m_ab Z2(F_a, F_b)/2."""
+    linear, quadratic = {}, {}
+    for s, items in sums:
+        for a in items:
+            linear[a] = linear.get(a, 0) + s
+            for b in items:
+                quadratic[a, b] = quadratic.get((a, b), 0) + s
+    out = DiagramPoly(orders=battery[0].orders)
+    for polys, mults, w in ((battery, linear, 1), (table, quadratic, 2)):
+        for k, m in mults.items():
+            if m:
+                for d, c in polys[k].terms.values():
+                    out._add(d, c * QI(Fraction(m, w)))
+    return out
 
 
 def recover_delta_coefficient(T: TimeOrder2, T2: TimeOrder2, f: Bump,

@@ -362,13 +362,6 @@ class DiagramPoly:
         return Region([b for d, _ in self.terms.values() for v in d.verts
                        if v.w is not None for b in v.w.support.boxes], 1)
 
-    def max_hbar(self):
-        out = 0
-        for _, c in self.terms.values():
-            for (p, _q) in c.coeffs:
-                out = max(out, p)
-        return out
-
 
 def unit(orders=(3, 2)):
     return DiagramPoly([(Diagram((), ()), 1)], orders)
