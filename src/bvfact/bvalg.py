@@ -45,9 +45,6 @@ class FieldContent:
             self.grades[name] = grade
             self.grades[antifield_name(name)] = 1 - grade
 
-    def pairs(self):
-        return [(name, antifield_name(name)) for name, _ in self.fields]
-
     def grade(self, name):
         return self.grades[name]
 
@@ -79,38 +76,6 @@ class LocalFunctional:
 
     def __post_init__(self):
         self.weights = dict(self.weights or {})
-
-    @property
-    def dim(self):
-        return self.density.dim
-
-    def grade(self):
-        return self.density.expr.homogeneous_grade()
-
-    def support(self):
-        return self.region
-
-    def __add__(self, other):
-        self._chk(other)
-        w = dict(self.weights)
-        w.update(other.weights)
-        return LocalFunctional(self.density + other.density,
-                               self.region.union(other.region),
-                               self.content, w)
-
-    def __neg__(self):
-        return LocalFunctional(-self.density, self.region, self.content,
-                               self.weights)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return LocalFunctional(JetExpr.of(c, self.dim) * self.density,
-                               self.region, self.content, self.weights)
-
-    def is_zero_functional(self):
-        return is_total_divergence(self.density)
 
     def _chk(self, other):
         if self.content != other.content:
@@ -179,9 +144,6 @@ class GenLagrangian:
 
     def grade(self):
         return self.density.expr.homogeneous_grade()
-
-    def at(self, samples: dict, region: Region) -> LocalFunctional:
-        return LocalFunctional(self.density, region, self.content, dict(samples))
 
     def __add__(self, other):
         if self.content != other.content:

@@ -38,14 +38,6 @@ def testfn(name: str, mu=()) -> Symbol:
     return Symbol("tf", name, _trim(mu), 0)
 
 
-def is_jet(s: Symbol) -> bool:
-    return s.ns == "jet"
-
-
-def is_testfn(s: Symbol) -> bool:
-    return s.ns == "tf"
-
-
 def _bump_index(mu, i):
     mu = list(mu)
     while len(mu) <= i:
@@ -80,14 +72,6 @@ class JetExpr:
         if not isinstance(e, Expr):
             e = Expr.const(e)
         return JetExpr(e, dim)
-
-    @property
-    def order(self):
-        mx = 0
-        for s in self.expr.symbols():
-            if s.ns in ("jet", "tf"):
-                mx = max(mx, sum(s.index))
-        return mx
 
     def __add__(self, other):
         other = JetExpr.of(other, self.dim)
@@ -156,13 +140,6 @@ def total_derivative(f: JetExpr, i: int) -> JetExpr:
     return JetExpr(Expr(acc), f.dim)
 
 
-def total_derivative_multi(f: JetExpr, mu) -> JetExpr:
-    for i, m in enumerate(mu):
-        for _ in range(m):
-            f = total_derivative(f, i)
-    return f
-
-
 class LagForm:
     """Differential p-form on the base with JetExpr coefficients."""
 
@@ -195,27 +172,6 @@ class LagForm:
     def component(self, key):
         return self.components.get(tuple(key), JetExpr.const(0, self.dim))
 
-    def __add__(self, other):
-        if not isinstance(other, LagForm):
-            return NotImplemented
-        if (self.degree, self.dim) != (other.degree, other.dim):
-            raise ValueError("cannot add forms of different degree/dim")
-        keys = set(self.components) | set(other.components)
-        return LagForm(self.degree, self.dim,
-                       {k: self.component(k) + other.component(k) for k in keys})
-
-    def __neg__(self):
-        return LagForm(self.degree, self.dim,
-                       {k: -v for k, v in self.components.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return LagForm(self.degree, self.dim,
-                       {k: JetExpr.of(c, self.dim) * v
-                        for k, v in self.components.items()})
-
     def __eq__(self, other):
         if not isinstance(other, LagForm):
             return NotImplemented
@@ -224,10 +180,6 @@ class LagForm:
 
     def is_zero(self):
         return not self.components
-
-    def map(self, fn):
-        return LagForm(self.degree, self.dim,
-                       {k: fn(v) for k, v in self.components.items()})
 
     def __repr__(self):
         if not self.components:
@@ -274,33 +226,53 @@ def euler_lagrange(L: LagForm, field_symbols=None):
     return euler_lagrange_density(density, field_symbols)
 
 
-def _field_labels(expr: Expr):
-    labels = {}
+def _horner(parts, n, label, eta=None, lead=()):
+    """sum_K (-D)^K P_K over the partials `parts` (multi-index K padded to
+    n -> JetExpr P_K, every K beginning with `lead`).
+
+    On axis i = len(lead) it runs R_m = Q_m - D_i R_{m+1} from the highest
+    m down and returns R_0, where Q_m is this sum over the K beginning with
+    (lead, m), one axis further in.  So axis 0 is outermost, and in dim 1 a
+    field costs max K total derivatives, not sum K.  With `eta`, each step
+    also adds u_(lead, m) R_{m+1} to eta[i], u on the left: the homotopy
+    operator.
+    """
+    i = len(lead)
+    if i == n:
+        return parts[lead]
+    r = None
+    for m in range(max(K[i] for K in parts), -1, -1):
+        sub = {K: P for K, P in parts.items() if K[i] == m}
+        q = _horner(sub, n, label, eta, lead + (m,)) if sub else None
+        if r is not None:
+            if eta is not None:
+                u = jet(label[0], lead + (m,), label[1])
+                eta[i] = eta[i] + Expr.sym(u) * r.expr
+            dr = total_derivative(r, i)
+            q = -dr if q is None else q - dr
+        r = q
+    return r
+
+
+def _euler_operator(expr: Expr, n, right=False, eta=None):
+    """sum_K (-D)^K dL/du^a_K per field label a = (name, grade) of the jet
+    symbols in `expr`, from left (or right) partials; see `_horner`."""
+    parts = {}
     for s in expr.symbols():
         if s.ns == "jet":
-            labels.setdefault((s.name, s.grade), []).append(s)
-    return labels
+            partial = expr.dright(s) if right else expr.dleft(s)
+            parts.setdefault((s.name, s.grade), {})[_pad(s.index, n)] = \
+                JetExpr(partial, n)
+    return {label: _horner(p, n, label, eta) for label, p in parts.items()}
 
 
 def euler_lagrange_density(density: JetExpr, field_symbols=None, right=False):
-    """EL derivatives of a density; returns dict (name, grade) -> JetExpr."""
-    labels = _field_labels(density.expr)
-    if field_symbols is not None:
-        for name, grade in field_symbols:
-            labels.setdefault((name, grade), [])
-    out = {}
-    for (name, grade), syms in sorted(labels.items()):
-        acc = JetExpr.const(0, density.dim)
-        for s in syms:
-            partial = density.expr.dright(s) if right else density.expr.dleft(s)
-            if not partial:
-                continue
-            term = total_derivative_multi(JetExpr(partial, density.dim), s.index)
-            if sum(s.index) % 2 == 1:
-                term = -term
-            acc = acc + term
-        out[(name, grade)] = acc
-    return out
+    """EL derivatives of a density; returns dict (name, grade) -> JetExpr,
+    zero for the labels in `field_symbols` that the density lacks."""
+    out = _euler_operator(density.expr, density.dim, right)
+    for name, grade in field_symbols or ():
+        out.setdefault((name, grade), JetExpr.const(0, density.dim))
+    return dict(sorted(out.items()))
 
 
 def is_total_divergence(density: JetExpr) -> bool:
@@ -358,18 +330,6 @@ class ExactnessDefect(ValueError):
         self.el_classes = el_classes
 
 
-def _lower(s: Symbol):
-    """(i, t) with D_i t = s: lower the last nonzero entry of s's
-    multi-index.  t's multi-index has no trailing zeros, the form
-    total_derivative writes."""
-    mu = list(s.index)
-    i = max(j for j, k in enumerate(mu) if k)
-    mu[i] -= 1
-    while mu and mu[-1] == 0:
-        mu.pop()
-    return i, Symbol(s.ns, s.name, tuple(mu), s.grade)
-
-
 def homotopy_primitive(omega: LagForm, check: bool = True):
     """Primitive of a closed Lagrangian p-form with polynomial coefficients.
 
@@ -384,13 +344,18 @@ def homotopy_primitive(omega: LagForm, check: bool = True):
     carries the nonzero ones (a test function w under the label "@tf:w").
     The primitive is the closed-form homotopy operator of the variational
     bicomplex (Olver, Applications of Lie Groups to Differential Equations,
-    sec. 5.4), evaluated without a lambda-integral: by Euler's identity the part of field degree d >= 1
-    is (1/d) sum_s s dL/ds (left derivatives), and each s_K P is integrated
-    by parts, s_K P = D_i(s_{K-e_i} P) - s_{K-e_i} D_i P, down to K = 0.
-    The remainders sum to sum_a u^a E_a(L_d) / d = 0.  The field-independent
-    part, a polynomial in x, is integrated in x_0.  Component eta^i sits
-    under the key range(n) minus i with sign (-1)^i, so that
-    horizontal_diff(eta) = sum_i D_i eta^i dx_0^...^dx_{n-1}.
+    sec. 5.4), evaluated without a lambda-integral.  Scale the part of field
+    degree d >= 1 by 1/d and let P_K be the left partials of the result; by
+    Euler's identity the field-dependent part of L is sum_K u_K P_K.  The Euler operator's
+    recursion R_m = P_m - D R_{m+1} (`_horner`) gives, in dim 1,
+    u_m P_m = u_m R_m - u_{m+1} R_{m+1} + D(u_m R_{m+1}), so the sum is
+    u R_0 + D(sum_m u_m R_{m+1}), and R_0 = sum_d E(L_d) / d = 0.  Hence
+    eta = sum_m u_m R_{m+1}, summed over the fields.  In dim n the recursion
+    is nested with axis 0 outermost, and on axis i under the leading
+    multi-index `lead` each step adds u_(lead, m) R_{m+1} to eta^i.  The
+    field-independent part, a polynomial in x, is integrated in x_0.
+    Component eta^i sits under the key range(n) minus i with sign (-1)^i, so
+    that horizontal_diff(eta) = sum_i D_i eta^i dx_0^...^dx_{n-1}.
 
     0 < p < n: NotClosedError if d(omega) != 0 (when `check`), else
     NotImplementedError.
@@ -434,14 +399,7 @@ def homotopy_primitive(omega: LagForm, check: bool = True):
     for mono, c in base.items():
         a = dict(mono).get(x0, 0)
         eta[0] = eta[0] + Expr({mono: c / (a + 1)}) * Expr.sym(x0)
-    for s in scaled.symbols():
-        if s.ns == "x":
-            continue
-        q = JetExpr(scaled.dleft(s), n)
-        while any(s.index):
-            i, s = _lower(s)
-            eta[i] = eta[i] + Expr.sym(s) * q.expr
-            q = -total_derivative(q, i)
+    _euler_operator(scaled, n, eta=eta)
     comps = {}
     for i, e in enumerate(eta):
         e = _demote_testfns(e)

@@ -55,9 +55,6 @@ class MLTerm:
     def degree(self):
         return len(self.slots)
 
-    def grades(self):
-        return tuple(s.expr.homogeneous_grade() for s in self.slots)
-
     def key(self):
         return tuple((s.expr, w.key) for s, w in zip(self.slots, self.weights))
 
@@ -108,8 +105,8 @@ class MultilocalObs:
                     c = coeff * (inv * sgn)
                     _add(MLTerm(tuple(slots[i] for i in perm),
                                 tuple(term.weights[i] for i in perm), c))
-        self.terms = [t_c[0]._replace_coeff(t_c[1]) for t_c in acc.values()
-                      if not t_c[1].is_zero()]
+        self.terms = [MLTerm(t.slots, t.weights, c) for t, c in acc.values()
+                      if not c.is_zero()]
 
     # -- observables -----------------------------------------------------
 
@@ -166,13 +163,6 @@ class MultilocalObs:
             len(self.terms), self.degrees())
 
 
-def _mlterm_replace_coeff(self, coeff):
-    return MLTerm(self.slots, self.weights, coeff)
-
-
-MLTerm._replace_coeff = _mlterm_replace_coeff
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
@@ -204,42 +194,16 @@ def extend(F: MultilocalObs, V: Region) -> MultilocalObs:
 
 
 def disjoint_product(F: MultilocalObs, G: MultilocalObs) -> MultilocalObs:
-    """Product of observables with disjoint supports; degrees add."""
+    """Product of observables with disjoint supports; degrees add.  Each
+    constant part enters as a degree-0 term, so it multiplies the other
+    factor's terms and constant."""
     if not F.region.disjoint_from(G.region):
         raise SupportError("regions overlap")
-    region = F.region.union(G.region)
-    terms = []
-    for tf in F.terms:
-        for tg in G.terms:
-            terms.append(MLTerm(tf.slots + tg.slots,
-                                tf.weights + tg.weights,
-                                tf.coeff * tg.coeff))
-    out = MultilocalObs(terms, region, F.orders)
-    # constant parts multiply through
-    if not F.constant.is_zero():
-        for t in G.terms:
-            _obs_add_term(out, MLTerm(t.slots, t.weights, F.constant * t.coeff))
-    if not G.constant.is_zero():
-        for t in F.terms:
-            _obs_add_term(out, MLTerm(t.slots, t.weights, t.coeff * G.constant))
-    out.constant = out.constant + F.constant * G.constant
-    return out
-
-
-def _obs_add_term(obs, term):
-    extra = MultilocalObs([term], obs.region, obs.orders)
-    merged = {t.key(): t for t in obs.terms}
-    for t in extra.terms:
-        k = t.key()
-        if k in merged:
-            c = merged[k].coeff + t.coeff
-            if c.is_zero():
-                del merged[k]
-            else:
-                merged[k] = t._replace_coeff(c)
-        else:
-            merged[k] = t
-    obs.terms = list(merged.values())
+    fs = F.terms + [MLTerm((), (), F.constant)]
+    gs = G.terms + [MLTerm((), (), G.constant)]
+    return MultilocalObs([MLTerm(a.slots + b.slots, a.weights + b.weights,
+                                 a.coeff * b.coeff) for a in fs for b in gs],
+                         F.region.union(G.region), F.orders)
 
 
 def structure_map(parts, V: Region) -> MultilocalObs:

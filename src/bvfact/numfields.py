@@ -76,17 +76,6 @@ class Gaussian1D:
         return val * exp(-self.s * x * x)
 
 
-class BumpField:
-    """Adapter: a region.Bump used as a dim-1 field sample."""
-
-    def __init__(self, bump):
-        self.bump = bump
-
-    def jet(self, t, mu):
-        k = mu[0] if mu else 0
-        return self.bump.deriv(t, k)
-
-
 class Separable2D:
     """Product f(t) g(x) of two dim-1 samples."""
 
@@ -97,14 +86,6 @@ class Separable2D:
         t, x = pt
         mu = tuple(mu) + (0, 0)
         return self.f.jet(t, (mu[0],)) * self.g.jet(x, (mu[1],))
-
-
-class Sum2D:
-    def __init__(self, *parts):
-        self.parts = parts
-
-    def jet(self, pt, mu):
-        return sum(p.jet(pt, mu) for p in self.parts)
 
 
 def zero_field():

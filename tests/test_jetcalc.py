@@ -1,6 +1,7 @@
 """Jet-space calculus: total derivatives, the form complex, Euler-Lagrange
 operators, divergence primitives, and local-functional evaluation."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -294,3 +295,135 @@ class TestTotalDerivativeChainRule:
         got = total_derivative(f, 0)
         assert got.expr == _td_per_symbol(f, 0) == _td_leibniz(f, 0)
         assert not got.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The Euler operator and the homotopy operator share one Horner recursion;
+# the references below are the per-symbol loops it replaced.
+# ---------------------------------------------------------------------------
+
+def _el_per_symbol(density, right=False):
+    """sum_K (-1)^|K| D^K dL/du_K, one symbol and |K| derivatives at a time."""
+    from bvfact import jetcalc
+    out = {}
+    for s in density.expr.symbols():
+        if s.ns != "jet":
+            continue
+        acc = out.setdefault((s.name, s.grade), Expr.zero())
+        partial = density.expr.dright(s) if right else density.expr.dleft(s)
+        term = JetExpr(partial, density.dim)
+        for i, m in enumerate(s.index):
+            for _ in range(m):
+                term = jetcalc.total_derivative(term, i)
+        out[(s.name, s.grade)] = acc - term.expr if sum(s.index) % 2 \
+            else acc + term.expr
+    return out
+
+
+def _eta_by_lowering(omega):
+    """The homotopy primitive's components by integrating each s_K P by
+    parts, lowering the last nonzero entry of K first."""
+    from bvfact.jetcalc import _demote_testfns, _promote_testfns
+    n = omega.dim
+    density = _promote_testfns(omega.component(tuple(range(n))))
+    scaled, base = {}, {}
+    for mono, c in density.expr.terms.items():
+        d = sum(e for s, e in mono if s.ns != "x")
+        if d:
+            scaled[mono] = c / d
+        else:
+            base[mono] = c
+    scaled = Expr(scaled)
+    eta = [Expr.zero()] * n
+    for mono, c in base.items():
+        a = dict(mono).get(xsym(0), 0)
+        eta[0] = eta[0] + Expr({mono: c / (a + 1)}) * Expr.sym(xsym(0))
+    for s in scaled.symbols():
+        if s.ns == "x":
+            continue
+        q = JetExpr(scaled.dleft(s), n)
+        mu = list(s.index)
+        while any(mu):
+            i = max(j for j, k in enumerate(mu) if k)
+            mu[i] -= 1
+            eta[i] = eta[i] + Expr.sym(jet(s.name, mu, s.grade)) * q.expr
+            q = -total_derivative(q, i)
+    comps = {}
+    for i, e in enumerate(eta):
+        e = _demote_testfns(e)
+        comps[tuple(j for j in range(n) if j != i)] = -e if i % 2 else e
+    return LagForm(n - 1, n, comps)
+
+
+def _graded_symbols(dim, maxord):
+    idx = [mu for mu in itertools.product(range(maxord + 1), repeat=dim)
+           if sum(mu) <= maxord]
+    out = [xsym(j) for j in range(dim)]
+    for mu in idx:
+        out += [jet("u", mu), jet("c", mu, 1), jet("b", mu, -1), tfn("w", mu)]
+    return out
+
+
+@st.composite
+def _graded_density(draw, dim, maxord):
+    pool = _graded_symbols(dim, maxord)
+    e = Expr.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        m = Expr.const(QI(draw(st.integers(-3, 3)), draw(st.integers(-2, 2))))
+        for _ in range(draw(st.integers(1, 3))):
+            m = m * Expr.sym(draw(st.sampled_from(pool))) ** \
+                draw(st.integers(1, 2))
+        e = e + m
+    return JetExpr(e, dim)
+
+
+@st.composite
+def _el_case(draw):
+    return draw(_graded_density(draw(st.sampled_from([1, 2])), 3))
+
+
+@st.composite
+def _divergence(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    div = JetExpr.const(0, dim)
+    for i in range(dim):
+        div = div + total_derivative(draw(_graded_density(dim, 2)), i)
+    return LagForm.top(div, dim)
+
+
+class TestHornerEulerOperator:
+    @given(_el_case())
+    @settings(max_examples=80, deadline=None)
+    def test_el_equals_per_symbol_sum(self, L):
+        for right in (False, True):
+            got = euler_lagrange_density(L, [("z", 0)], right=right)
+            ref = _el_per_symbol(L, right)
+            assert {k: v.expr for k, v in got.items()} == \
+                {**ref, ("z", 0): Expr.zero()}
+            assert list(got) == sorted(got)
+
+    @given(_divergence())
+    @settings(max_examples=60, deadline=None)
+    def test_eta_equals_lowering_loop(self, omega):
+        eta, obstruction = homotopy_primitive(omega)
+        assert not obstruction
+        assert eta == _eta_by_lowering(omega)
+        assert horizontal_diff(eta) == omega
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_one_derivative_per_order(self, k, monkeypatch):
+        from bvfact import jetcalc
+        calls = []
+
+        def counted(f, i):
+            calls.append(i)
+            return total_derivative(f, i)
+
+        monkeypatch.setattr(jetcalc, "total_derivative", counted)
+        L = JetExpr(sum((Expr.sym(jet("u", (j,))) ** 2 for j in range(k + 1)),
+                        Expr.zero()), 1)
+        el = jetcalc.euler_lagrange_density(L)
+        assert len(calls) == k
+        calls.clear()
+        assert {key: v.expr for key, v in el.items()} == _el_per_symbol(L)
+        assert len(calls) == k * (k + 1) // 2

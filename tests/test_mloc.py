@@ -249,3 +249,31 @@ class TestSupportsInOnePass:
                 assert t.support() == _union_fold(w.support
                                                   for w in t.weights)
             assert p.support() == _union_fold(t.support() for t in p.terms)
+
+
+class TestProductConstants:
+    def test_constants_multiply_through(self):
+        """Both factors carry constant parts; the product equals its hand
+        expansion (F0 + F1)(G0 + G1) = F0 G0 + F0 G1 + F1 G0 + F1 G1."""
+        w1 = mollifier(Fraction(1, 4), Fraction(1, 4))    # supp (0, 1/2)
+        w1b = mollifier(Fraction(1, 4), Fraction(1, 8))   # supp (1/8, 3/8)
+        w2 = mollifier(Fraction(3, 4), Fraction(1, 8))    # supp (5/8, 7/8)
+        RF, RG = Region.interval(0, Fraction(1, 2)), Region.interval(
+            Fraction(5, 8), Fraction(7, 8))
+        f0, f1, f2 = QI(2), QI(1, 1), QI(Fraction(-1, 3))
+        g0, g1 = QI(3, -1), QI(-1)
+        F = MultilocalObs([MLTerm((), (), f0), MLTerm((U2,), (w1,), f1),
+                           MLTerm((U, U), (w1, w1b), f2)], RF)
+        G = MultilocalObs([MLTerm((U,), (w2,), g1), MLTerm((), (), g0)], RG)
+        P = disjoint_product(F, G)
+        expected = MultilocalObs([
+            MLTerm((), (), f0 * g0),
+            MLTerm((U,), (w2,), f0 * g1),
+            MLTerm((U2,), (w1,), f1 * g0),
+            MLTerm((U, U), (w1, w1b), f2 * g0),
+            MLTerm((U2, U), (w1, w2), f1 * g1),
+            MLTerm((U, U, U), (w1, w1b, w2), f2 * g1)], RF.union(RG))
+        assert P == expected
+        assert len(P.terms) == len(expected.terms)
+        assert abs(P.scalar(FIELDS) - F.scalar(FIELDS) * G.scalar(FIELDS)) \
+            < 1e-10
