@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .symexpr import Expr, Symbol, QI, I
+from .symexpr import Expr, QI, I
 from .jetcalc import (JetExpr, jet, testfn, total_derivative,
                       euler_lagrange_density, is_total_divergence)
 from .region import Region

@@ -376,9 +376,8 @@ def _weiss(cfg, rng, orders, tol):
 def _freeq_suite(cfg, rng, orders, tol):
     """Keys: omega (default 1), positivity_samples (default 6)."""
     from . import freeq
-    from .freeq import (OscillatorModel, green, green_defect, field_obs,
-                        star, unit, peierls, tmap, tmap_inv, tprod, shat0,
-                        eval_poly, delta_s0)
+    from .freeq import (OscillatorModel, green, field_obs, star, unit,
+                        peierls, tmap, tmap_inv, shat0, eval_poly)
     from .numfields import Poly1D
 
     omega = float(cfg_fraction(cfg, "omega", 1))
@@ -567,9 +566,9 @@ def _rg(cfg, rng, orders, tol):
 def _qbv(cfg, rng, orders, tol):
     """Keys: omega (default 1), battery (default 6)."""
     from .qbv import (interaction_vertex, interacting_bv, check_qme,
-                      check_qme_vertex, delta0, amwi_check, QMEError)
+                      check_qme_vertex, delta0, amwi_check)
     from .bvalg import free_scalar, quartic_interaction
-    from .freeq import field_obs, shat0, unit, DiagramPoly
+    from .freeq import field_obs, shat0, unit
     from .numfields import Poly1D
 
     f = mollifier(0, Fraction(1, 2))

@@ -89,14 +89,16 @@ class MultilocalObs:
                 self.constant = self.constant + _series(term.coeff, self.orders)
                 continue
             coeff = _series(term.coeff, self.orders)
-            # split non-homogeneous slots into graded components first
-            pieces = [(tuple(), QI.of(1))]
+            # split non-homogeneous slots into graded components first; a
+            # grade-homogeneous slot is kept as it is
+            dim = term.slots[0].dim
+            pieces = [()]
             for s in term.slots:
                 comps = _graded_components(s.expr)
-                pieces = [(done + (Expr.from_terms(list(e.terms.items())),), c)
-                          for done, c in pieces for e in comps.values()]
-            for slot_exprs, _ in pieces:
-                slots = tuple(JetExpr(e, term.slots[0].dim) for e in slot_exprs)
+                opts = [s] if len(comps) == 1 else [JetExpr(e, dim)
+                                                    for e in comps.values()]
+                pieces = [done + (o,) for done in pieces for o in opts]
+            for slots in pieces:
                 grades = tuple(s.expr.homogeneous_grade() for s in slots)
                 m = len(slots)
                 inv = Fraction(1, math.factorial(m))

@@ -8,7 +8,6 @@ series.  This 1-d scalar model is anomaly-free: the AMWI defect is measured,
 not postulated, and the measurement doubles as the null test.
 """
 
-import math
 from fractions import Fraction
 
 from .symexpr import FormalSeries, I

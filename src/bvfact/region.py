@@ -295,7 +295,13 @@ def _weiss_1d(cover, U, k):
 # windows of a partition of unity) is compiled once.  It makes the float
 # operations of the order-0 `_Taylor` rows in the same order, including the
 # early 0.0 of `_Prod` and `_Quot`, so the two paths agree bit for bit;
-# `_Deriv` runs `_Taylor` inside its closure.
+# `_Deriv` runs `_Taylor` inside its closure.  A `_Quot` whose denominator is
+# a `_Sum` holding the numerator node (a smoothstep, a psi_k of a partition of
+# unity) evaluates the numerator once and adds that value in its place in
+# the sum (`_Sum.reading`), as `_Taylor` reads it from its memo.  The
+# denominator of psi_k sums only the windows whose supports meet w_k's,
+# found by one sweep over the support boxes sorted by left end
+# (`_meeting_pairs`), not by testing every pair.
 
 def _where(cond, x, y):
     if isinstance(cond, np.ndarray):
@@ -536,6 +542,19 @@ class _Sum(_Node):
             return val
         return f
 
+    def reading(self, node):
+        """The sum as a closure of (t, a), where a is the child `node`'s
+        value at t, read in its place: the same additions in the same order."""
+        first, *rest = [None if ch is node else ch.scalar()
+                        for ch in self.children]
+
+        def f(t, a):
+            val = a if first is None else first(t)
+            for g in rest:
+                val = val + (a if g is None else g(t))
+            return val
+        return f
+
 
 class _Prod(_Node):
     def __init__(self, children):
@@ -600,13 +619,21 @@ class _Quot(_Node):
         return _div(a, b)
 
     def _compile(self):
-        num, den = self.num.scalar(), self.den.scalar()
+        num, den = self.num.scalar(), self.den
+        if isinstance(den, _Sum) and any(ch is self.num
+                                         for ch in den.children):
+            # a smoothstep or a psi_k: the numerator's value is reused as
+            # its term of the denominator
+            den = den.reading(self.num)
+        else:
+            g = den.scalar()
+            den = lambda t, a: g(t)
 
         def f(t):
             a = num(t)
             if a == 0:
                 return 0.0
-            b = den(t)
+            b = den(t, a)
             if b == 0:
                 raise ZeroDivisionError(_ZERO_DEN)
             return a / b
@@ -658,15 +685,23 @@ def _expinv_linear(a, b):
     return _ExpInv(_Poly([b, a]))
 
 
+def _step_node(a, b):
+    # exp(-1/s) / (exp(-1/s) + exp(-1/(1-s))), s = (t-a)/(b-a), floats a < b
+    w = b - a
+    num = _expinv_linear(1.0 / w, -a / w)
+    return _Quot(num, _Sum([num, _expinv_linear(-1.0 / w, b / w)]))
+
+
+def _window_node(a, b, c, d):
+    # up from a to b, times the reflection of the step from -d to -c
+    return _Prod([_step_node(a, b), _Reflect(_step_node(-d, -c))])
+
+
 def smoothstep(a, b):
     """0 for t <= a, 1 for t >= b, strictly increasing between (a < b)."""
     a, b = float(a), float(b)
-    w = b - a
-    num = _expinv_linear(1.0 / w, -a / w)            # exp(-1/s), s=(t-a)/w
-    den2 = _expinv_linear(-1.0 / w, b / w)           # exp(-1/(1-s))
-    node = _Quot(num, _Sum([num, den2]))
     # support is (a, inf); track a generous bounded stand-in plus flag
-    return _Step(node, a)
+    return _Step(_step_node(a, b), a)
 
 
 class _Step(Bump):
@@ -680,10 +715,9 @@ class _Step(Bump):
 
 def window(a, b, c, d):
     """Plateau bump: 0 outside (a,d), 1 on [b,c]; a < b <= c < d."""
-    up = smoothstep(a, b)
-    down = smoothstep(-d, -c)
-    refl = _Reflect(down.node)
-    node = _Prod([up.node, refl])
+    # the mirrored step runs from float(-d) to float(-c), which keep the sign
+    # of a zero end that -float(d) and -float(c) would flip
+    node = _window_node(float(a), float(b), -float(-c), -float(-d))
     return Bump(node, Region.interval(Fraction(a).limit_denominator(10**12),
                                       Fraction(d).limit_denominator(10**12)))
 
@@ -739,70 +773,73 @@ def partition_of_unity(cover, compact: Region):
     if compact.is_empty():
         return [Bump(_Const(0.0), Region.empty()) for _ in cover]
     closure = [(b[0][0], b[0][1]) for b in compact.boxes]
-    delta = None
-    for k in range(1, 40):
-        d = Fraction(1, 2 ** k)
-        if _shrunk_covers(cover, closure, d):
-            delta = d
-            break
-    if delta is None:
-        raise CoverError("cover does not cover the closure of the compact region")
+    delta = _delta(cover, closure)
+    half = delta / 2
     windows = []
     for V in cover:
-        node_children = []
-        supp = Region.empty()
+        nodes, ivs = [], []
         for box in V.boxes:
             lo, hi = box[0]
             if hi - lo <= delta:
                 continue
-            a, b = lo + delta / 2, hi - delta / 2
+            a, b = lo + half, hi - half
             inner_lo, inner_hi = lo + delta, hi - delta
             if inner_lo >= inner_hi:
                 inner_lo = inner_hi = (a + b) / 2
-            w = window(float(a), float(inner_lo), float(inner_hi), float(b))
-            node_children.append(w.node)
-            supp = supp.union(Region.interval(a, b))
-        node = _Sum(node_children) if node_children else _Const(0.0)
-        windows.append(Bump(node, supp))
+            nodes.append(_window_node(float(a), float(inner_lo),
+                                      float(inner_hi), float(b)))
+            ivs.append((a, b))
+        windows.append(Bump(_Sum(nodes) if nodes else _Const(0.0),
+                            Region.intervals(ivs)))
     # psi_k = w_k / (sum of the windows whose supports meet w_k's): on supp
     # w_k the windows left out are exactly 0.0, and off it psi_k is 0.0
     # before its denominator is read, so every value is that of w_k / (sum
     # of all windows)
-    out = []
-    for w in windows:
-        near = [v.node for v in windows
-                if v is w or v.support.intersects(w.support)]
-        out.append(Bump(_Quot(w.node, _Sum(near)), w.support))
+    near = [{k} for k in range(len(windows))]
+    for i, j in _meeting_pairs([w.support for w in windows]):
+        near[i].add(j)
+        near[j].add(i)
+    return [Bump(_Quot(w.node, _Sum([windows[j].node for j in sorted(ks)])),
+                 w.support) for w, ks in zip(windows, near)]
+
+
+def _meeting_pairs(regions):
+    """The pairs (i, j), i < j, of dim-1 regions that meet, by one sweep over
+    their boxes sorted by left end; open intervals that only touch do not
+    meet."""
+    boxes = sorted(((b[0][0], b[0][1], i) for i, R in enumerate(regions)
+                    for b in R.boxes), key=lambda box: box[0])
+    live, out = [], set()
+    for lo, hi, i in boxes:
+        # the boxes begun before this one still open past its left end
+        live = [(h, j) for h, j in live if h > lo]
+        out.update((j, i) if j < i else (i, j) for _, j in live if j != i)
+        live.append((hi, i))
     return out
 
 
+def _delta(cover, closure):
+    """The first delta = 1/2, 1/4, ..., 1/2^39 whose shrunk cover covers the
+    closed intervals `closure`, or CoverError."""
+    # an end x of `closure` lies in a shrunk box [l + delta, h - delta] only
+    # if delta <= min(x - l, h - x): every delta above the least such depth
+    # fails, so the search starts at the first 1/2^k below it
+    depth = min(max([min(x - l, h - x) for V in cover for ((l, h),) in V.boxes
+                     if l < x < h], default=0)
+                for iv in closure for x in iv)
+    if depth > 0:
+        for k in range(max(1, (math.ceil(1 / depth) - 1).bit_length()), 40):
+            d = Fraction(1, 2 ** k)
+            if _shrunk_covers(cover, closure, d):
+                return d
+    raise CoverError("cover does not cover the closure of the compact region")
+
+
 def _shrunk_covers(cover, closed_intervals, delta):
-    # closed shrunk intervals [lo+delta, hi-delta] must cover the closed set
-    shrunk = []
-    for V in cover:
-        for box in V.boxes:
-            lo, hi = box[0]
-            if hi - lo > 2 * delta:
-                shrunk.append((lo + delta, hi - delta))
-    shrunk = _merge_intervals(shrunk)
-    for lo, hi in closed_intervals:
-        cur = lo
-        progressed = True
-        while progressed:
-            progressed = False
-            for a, b in shrunk:
-                if a <= cur <= b and b > cur:
-                    cur = b
-                    progressed = True
-                elif a <= cur <= b and b == cur:
-                    pass
-            if cur >= hi:
-                break
-        if cur < hi:
-            return False
-        # endpoints must be interior to the shrunk union
-        if not any(a <= lo <= b for a, b in shrunk):
-            return False
-        if not any(a <= hi <= b for a, b in shrunk):
-            return False
-    return True
+    # each closed interval must lie in one closed shrunk box [lo+delta,
+    # hi-delta] after the boxes that meet or touch are merged
+    shrunk = _merge_intervals([(lo + delta, hi - delta) for V in cover
+                               for ((lo, hi),) in V.boxes
+                               if hi - lo > 2 * delta])
+    return all(any(a <= lo and hi <= b for a, b in shrunk)
+               for lo, hi in closed_intervals)

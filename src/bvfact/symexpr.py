@@ -293,12 +293,13 @@ def _merge_monomials(m1, m2):
 class Expr:
     """Canonical graded-commutative polynomial."""
 
-    __slots__ = ("terms", "_partials")
+    __slots__ = ("terms", "_partials", "_hash")
 
     def __init__(self, terms=None):
         # terms: dict monomial -> QI, already canonical; never mutated
         self.terms = terms or {}
         self._partials = None  # {right: {symbol: partial}}, on demand
+        # _hash is set on the first hash
 
     # ---- constructors -------------------------------------------------
     @staticmethod
@@ -386,7 +387,16 @@ class Expr:
         return self.terms == _as_expr(other).terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash(frozenset(self.terms.items()))
+            return h
+
+    def __reduce__(self):
+        # the caches stay behind: symbols hash by identity, so a hash holds
+        # in one process only
+        return Expr, (self.terms,)
 
     def __bool__(self):
         return bool(self.terms)

@@ -282,3 +282,145 @@ class TestLocalPartitionDenominators:
         ts = np.linspace(0, 1, 20001)
         tot = sum(p.values(ts)[0] for p in _psis(n))
         assert np.all(np.abs(tot - 1.0) <= 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Partitions of unity: the sweep for meeting supports and the delta search
+# ---------------------------------------------------------------------------
+
+from bvfact.region import CoverError, _delta, _merge_intervals, _meeting_pairs
+
+# ends on a grid of eighths, so intervals often touch or share an end
+_EIGHTHS = st.integers(-16, 16).map(lambda k: Fraction(k, 8))
+
+
+@st.composite
+def _unions(draw, min_boxes=0, max_boxes=3):
+    """A dim-1 region: a union of `min_boxes` to `max_boxes` rational
+    intervals, possibly touching one another."""
+    ivs = []
+    for _ in range(draw(st.integers(min_boxes, max_boxes))):
+        lo = draw(_EIGHTHS)
+        ivs.append((lo, lo + draw(st.integers(1, 12)) * Fraction(1, 8)))
+    return Region.intervals(ivs)
+
+
+@st.composite
+def _chain_covers(draw):
+    """(cover, compact): a chain of intervals across the compact set's hull,
+    each overlapping the next by 0 to 3/8 and spread over a few cover
+    elements.  An overlap of 0 or a chain that starts or ends on the hull
+    leaves a point of the closure uncovered."""
+    compact = draw(_unions(min_boxes=1, max_boxes=2))
+    lo, hi = compact.bounds()[0]
+    eighth = Fraction(1, 8)
+    ivs, cur = [], lo - draw(st.integers(0, 3)) * eighth
+    while True:
+        length = draw(st.integers(1, 8))
+        end = cur + length * eighth
+        ivs.append((cur, end))
+        if end >= hi:
+            break
+        cur = end - draw(st.integers(0, min(3, length - 1))) * eighth
+    parts = [[] for _ in range(draw(st.integers(1, len(ivs))))]
+    for iv in ivs:
+        parts[draw(st.integers(0, len(parts) - 1))].append(iv)
+    return [Region.intervals(p) for p in parts], compact
+
+
+def _retry_delta(cover, closure):
+    """The retry loop that picked delta before, with its coverage test:
+    1/2, 1/4, ... until the shrunk cover covers."""
+    def shrunk_covers(delta):
+        shrunk = []
+        for V in cover:
+            for box in V.boxes:
+                lo, hi = box[0]
+                if hi - lo > 2 * delta:
+                    shrunk.append((lo + delta, hi - delta))
+        shrunk = _merge_intervals(shrunk)
+        for lo, hi in closure:
+            cur = lo
+            progressed = True
+            while progressed:
+                progressed = False
+                for a, b in shrunk:
+                    if a <= cur <= b and b > cur:
+                        cur = b
+                        progressed = True
+                if cur >= hi:
+                    break
+            if cur < hi:
+                return False
+            if not any(a <= lo <= b for a, b in shrunk):
+                return False
+            if not any(a <= hi <= b for a, b in shrunk):
+                return False
+        return True
+
+    for k in range(1, 40):
+        d = Fraction(1, 2 ** k)
+        if shrunk_covers(d):
+            return d
+    raise CoverError("cover does not cover the closure of the compact region")
+
+
+def _outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except CoverError:
+        return "CoverError"
+
+
+class TestPartitionSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_unions(), max_size=8))
+    @example([Region.interval(0, 1), Region.interval(1, 2),
+              Region.intervals([(Fraction(-1), 0), (2, 3)]), Region.empty()])
+    def test_meeting_pairs_equal_pairwise_intersects(self, regions):
+        want = {(i, j) for i in range(len(regions))
+                for j in range(i + 1, len(regions))
+                if regions[i].intersects(regions[j])}
+        assert _meeting_pairs(regions) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_chain_covers(),
+                     st.tuples(st.lists(_unions(), min_size=1, max_size=6),
+                               _unions(min_boxes=1, max_boxes=2))),
+           st.sampled_from([1, 3, 5, 64, 1000]))
+    # (-1, 1) and (1, 3) leave the point 1 uncovered
+    @example(([Region.interval(-1, 1), Region.interval(1, 3)],
+              Region.interval(0, 2)), 1)
+    def test_delta_equals_the_retry_loop(self, case, denom):
+        cover, compact = case
+        # the compact set scaled by 1/denom reaches deep deltas
+        closure = [(b[0][0] / denom, b[0][1] / denom) for b in compact.boxes]
+        cover = [Region.intervals([(lo / denom, hi / denom)
+                                   for ((lo, hi),) in V.boxes])
+                 for V in cover]
+        assert _outcome_of(_delta, cover, closure) == \
+            _outcome_of(_retry_delta, cover, closure)
+
+    def test_a_cover_with_a_gap_raises(self):
+        cover = [Region.interval(-1, 1), Region.interval(1, 3)]
+        with pytest.raises(CoverError):
+            partition_of_unity(cover, Region.interval(0, 2))
+
+    def test_32_intervals_without_limit_denominator_or_n_squared_meets(
+            self, monkeypatch):
+        calls = {"limit_denominator": 0, "intersects": 0}
+
+        def counted(cls, name):
+            orig = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(Fraction, "limit_denominator")
+        counted(Region, "intersects")
+        n = 32
+        assert len(_psis(n)) == n
+        assert calls["limit_denominator"] == 0
+        assert calls["intersects"] <= 4 * n
