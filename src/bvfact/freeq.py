@@ -116,43 +116,47 @@ def green(model: OscillatorModel, kind: str) -> PropagatorKernel:
     return PropagatorKernel(kind, model.omega)
 
 
-# kernels with a kink at tau = 0: the quadrature cuts the inner interval there
-_KINKED = {"retarded", "advanced", "feynman"}
+# kernels with a kink at tau = 0, and the side of it where they vanish: +1
+# for tau < 0, -1 for tau > 0, 0 for neither (a kink side of `integrate`)
+_KINKED = {"retarded": 1, "advanced": -1, "feynman": 0}
 
 
 def pair_kernel(kernel, f: Bump, g: Bump, tol=1e-10, fderiv=0, gderiv=0):
     """<f^(a) (x) g^(b), K> = int f^(a)(t) K(t,s) g^(b)(s) dt ds.
 
     A fixed-rule tensor quadrature (`bvfact.quadrature`) on supp f x supp g,
-    with the s-interval cut at s = t for kernels with a kink at 0.  Raises
-    `QuadratureError` if successive rules do not agree within
-    max(tol, tol * |value|) before the node cap.
+    with the s-interval cut at s = t for kernels with a kink at 0, or ended
+    there for the retarded and advanced kernels.  Raises `QuadratureError`
+    if successive rules do not agree within max(tol, tol * |value|) before
+    the node cap.
     """
-    fb = f.support.bounds()
-    gb = g.support.bounds()
+    return _pair(kernel, f, g, tol, lambda t: f.deriv(t, fderiv),
+                 lambda s: g.deriv(s, gderiv))
+
+
+def _pair(kernel, f, g, tol, ft, gs):
+    """int ft(t) K(t - s) gs(s) dt ds on supp f x supp g."""
+    fb, gb = f.support.bounds(), g.support.bounds()
     if fb is None or gb is None:
         return 0.0
-
-    def integrand(t, s):
-        return f.deriv(t, fderiv) * kernel.value(t - s) * g.deriv(s, gderiv)
-    return integrate(integrand, [fb[0], gb[0]], tol,
-                     kinks=[(0, 1)] if kernel.kind in _KINKED else ())
+    return integrate(lambda t, s: ft(t) * kernel.value(t - s) * gs(s),
+                     [fb[0], gb[0]], tol, [(0, 1, _KINKED[kernel.kind])]
+                     if kernel.kind in _KINKED else ())
 
 
 def green_defect(model, f: Bump, g: Bump, tol=1e-9):
     """| <P^T f (x) g, Delta^R> - int f g |, the weak Green-function defect."""
-    ker = green(model, "retarded")
-    w2 = model.omega ** 2
-    # P is formally self-adjoint: pair Delta^R with (P f)(t) g(s)
-    val = -(pair_kernel(ker, f, g, tol=tol, fderiv=2)
-            + w2 * pair_kernel(ker, f, g, tol=tol))
+    def pf(t):  # P is formally self-adjoint: pair Delta^R with (P f)(t) g(s)
+        v = f.values(t, 2)
+        return -(2 * v[2] + model.omega ** 2 * v[0])
+    val = _pair(green(model, "retarded"), f, g, tol, pf, g)
     return abs(val - _overlap_integral(f, g, tol))
 
 
 def _overlap_integral(f: Bump, g: Bump, tol):
-    """int f g over supp(f g), on the fixed-rule path of `integrate`; 0.0
-    when the supports do not meet."""
-    b = (f * g).support.bounds()
+    """int f g over supp f & supp g, on the fixed-rule path of `integrate`;
+    0.0 when the supports do not meet."""
+    b = f.support.intersection(g.support).bounds()
     if b is None:
         return 0.0
     return integrate(lambda t: f(t) * g(t), b, tol)
@@ -586,9 +590,9 @@ def eval_diagram(diag: Diagram, model: OscillatorModel, fields,
 
     A fixed-rule tensor quadrature (`bvfact.quadrature`) on the product of
     the vertex supports, evaluated in chunks, with the inner intervals cut
-    where a retarded, advanced or Feynman edge has its kink.  Raises
-    `QuadratureError` if successive rules do not agree within
-    max(tol, tol * |value|) before the node cap.
+    where a Feynman edge has its kink and ended where a retarded or advanced
+    edge has its kink.  Raises `QuadratureError` if successive rules do not
+    agree within max(tol, tol * |value|) before the node cap.
     """
     verts = diag.verts
     n = len(verts)
@@ -622,7 +626,8 @@ def eval_diagram(diag: Diagram, model: OscillatorModel, fields,
         if v.w is None or v.w.support.bounds() is None:
             return 0.0
         bounds.append(v.w.support.bounds()[0])
-    kinks = [(a, b) for a, b, k, _ in diag.edges if k in _KINKED]
+    kinks = [(a, b, _KINKED[k] * o) for a, b, k, o in diag.edges
+             if k in _KINKED]
     return complex(integrate(integrand, bounds, tol, kinks))
 
 

@@ -381,10 +381,6 @@ def homotopy_primitive(omega: LagForm, check: bool = True):
         raise NotImplementedError(
             "homotopy primitives of %d-forms in dimension %d" % (p, n))
     density = _promote_testfns(omega.component(tuple(range(n))))
-    els = euler_lagrange_density(density)
-    bad = {k: v for k, v in els.items() if not v.is_zero()}
-    if bad:
-        raise ExactnessDefect(bad)
     # each monomial of field degree d >= 1 scaled by 1/d; degree 0 kept apart
     scaled, base = {}, {}
     for mono, c in density.expr.terms.items():
@@ -399,7 +395,12 @@ def homotopy_primitive(omega: LagForm, check: bool = True):
     for mono, c in base.items():
         a = dict(mono).get(x0, 0)
         eta[0] = eta[0] + Expr({mono: c / (a + 1)}) * Expr.sym(x0)
-    _euler_operator(scaled, n, eta=eta)
+    # R_0 = sum_d E(L_d) / d is 0 iff E(L) is, as E lowers the degree by 1
+    r0 = _euler_operator(scaled, n, eta=eta)
+    if not all(r.is_zero() for r in r0.values()):
+        els = euler_lagrange_density(density)
+        raise ExactnessDefect({k: v for k, v in els.items()
+                               if not v.is_zero()})
     comps = {}
     for i, e in enumerate(eta):
         e = _demote_testfns(e)

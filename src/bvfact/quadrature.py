@@ -22,12 +22,17 @@ are 1 where axis l's nodes do not depend on them).  So a factor that depends
 on x_0 alone is computed once per x_0 node.  Complex integrands are summed in
 one pass.
 
-A kink (a, b), a < b, says that the integrand is not smooth across the
-diagonal x_a = x_b (a kernel in x_b - x_a with a kink at 0).  Axis b's
+A kink (a, b) says that the integrand is not smooth across the diagonal
+x_a = x_b (a kernel in x_b - x_a with a kink at 0).  With a < b, axis b's
 interval is then cut at x_a for every node of the outer axes, and the rule
 runs on each piece.  Integrating out an inner axis that is kinked against
-two outer axes leaves a kink between those two, so the cuts are closed under
-that rule.
+two outer axes leaves a (two-sided) kink between those two, so the cuts are
+closed under that rule.  A one-sided kink (a, b, +1) says moreover that the
+integrand is 0 where x_b > x_a, and (a, b, -1) where x_b < x_a (a retarded
+or advanced kernel): axis b's interval then ends (starts) at x_a, and the
+box is first trimmed to where that leaves something, 0.0 if nowhere.  A kink
+whose diagonal misses the interior of the trimmed box is dropped: its cut
+would sit at an end of the interval at every node.
 
 Outer nodes are processed in chunks, so memory stays bounded whatever the
 number of points.
@@ -92,17 +97,19 @@ def _legendre(n, x):
 
 
 def integrate(func, bounds, tol=1e-10, kinks=()):
-    """Integral of `func` over the box `bounds`, a list of (lo, hi) pairs.
+    """Integral of `func` over the box `bounds`, a list of (lo, hi) pairs,
+    with `kinks` (a, b) or (a, b, side) as in the module docstring.
 
     Returns a float for a real integrand and a complex for a complex one.
     Raises `QuadratureError` when the rules reach the node cap before two
     successive results agree within max(tol, tol * |value|).
     """
-    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    cuts = _cuts(len(bounds), kinks)
+    bounds, cuts = _cuts([(float(lo), float(hi)) for lo, hi in bounds], kinks)
+    if bounds is None:
+        return 0.0
     pieces = 1
     for c in cuts:
-        pieces *= len(c) + 1
+        pieces *= len(c[0]) + 1
     n = N_START
     prev = _apply(func, bounds, cuts, n)
     err = None
@@ -118,14 +125,33 @@ def integrate(func, bounds, tol=1e-10, kinks=()):
         estimate=prev, error=err, nodes=n)
 
 
-def _cuts(d, kinks):
-    """Per axis, the outer axes at whose nodes its interval is cut."""
-    pairs = {(min(a, b), max(a, b)) for a, b in kinks if a != b}
-    for b in range(d - 1, 0, -1):
-        outer = sorted(a for a, c in pairs if c == b)
-        pairs.update((x, y) for i, x in enumerate(outer)
-                     for y in outer[i + 1:])
-    return [sorted(a for a, c in pairs if c == b) for b in range(d)]
+def _cuts(bounds, kinks):
+    """The box trimmed by the one-sided kinks, and per axis b three lists of
+    outer axes a: at x_a its interval is cut, ends and starts.  (None, None)
+    when the trimmed box is empty."""
+    # (a, b, side) with a < b, side 0 for a two-sided kink
+    norm = {(min(a, b), max(a, b), (s[0] if s else 0) * (1 if a < b else -1))
+            for a, b, *s in kinks if a != b}
+    lo, hi = map(list, zip(*bounds))
+    for _ in bounds:  # trim to x_b <= x_a for side +1, x_a <= x_b for -1
+        for p, q in [(b, a) if s > 0 else (a, b) for a, b, s in norm if s]:
+            lo[q], hi[p] = max(lo[q], lo[p]), min(hi[p], hi[q])
+    if any(l >= h for l, h in zip(lo, hi)):
+        return None, None
+
+    def meets(a, b):  # the diagonal x_a = x_b crosses the box interior
+        return lo[a] < hi[b] and lo[b] < hi[a]
+    norm = {k for k in norm if meets(k[0], k[1])}
+    sided = {k[:2] for k in norm if k[2]}
+    for b in range(len(bounds) - 1, 0, -1):
+        outer = sorted({a for a, c, _ in norm if c == b})
+        norm.update((x, y, 0) for i, x in enumerate(outer)
+                    for y in outer[i + 1:] if meets(x, y))
+    cuts = [([], [], []) for _ in bounds]
+    for a, b, side in sorted(norm):
+        if side or (a, b) not in sided:
+            cuts[b][side].append(a)  # side -1 indexes the last list
+    return list(zip(lo, hi)), cuts
 
 
 def _apply(func, bounds, cuts, n):
@@ -137,14 +163,15 @@ def _apply(func, bounds, cuts, n):
     w0 = half * w
     inner = 1
     for c in cuts[1:]:
-        inner *= n * (len(c) + 1)
+        inner *= n * (len(c[0]) + 1)
     step = max(1, CHUNK_POINTS // inner)
     total = 0.0
     for start in range(0, n, step):
         xs = [x0[start:start + step]]
         ws = [w0[start:start + step]]
         for axis in range(1, d):
-            nodes, weights = _axis(bounds[axis], [xs[a] for a in cuts[axis]],
+            nodes, weights = _axis(bounds[axis], [[xs[a] for a in c]
+                                                  for c in cuts[axis]],
                                    axis, x, w)
             xs.append(nodes)
             ws.append(weights)
@@ -161,21 +188,27 @@ def _apply(func, bounds, cuts, n):
 
 
 def _axis(bound, outer, axis, x, w):
-    """Nodes and weights of one inner axis, cut at the outer nodes `outer`
-    (arrays of rank <= axis): arrays of rank axis + 1."""
+    """Nodes and weights of one inner axis at the outer nodes `outer` (lists
+    of arrays of rank <= axis at which its interval is cut, ends and starts,
+    as from `_cuts`): arrays of rank axis + 1."""
     lo, hi = bound
-    if not outer:
+    cut, above, below = outer
+    ends = [a.reshape(a.shape + (1,) * (axis - a.ndim))
+            for a in cut + above + below]
+    if not ends:
         half = 0.5 * (hi - lo)
         shape = (1,) * axis + (-1,)
         return ((0.5 * (lo + hi) + half * x).reshape(shape),
                 (half * w).reshape(shape))
-    # each outer array, padded to rank `axis`, gives one cut per outer point
-    outer = [a.reshape(a.shape + (1,) * (axis - a.ndim)) for a in outer]
-    cut = np.stack(np.broadcast_arrays(*outer), axis=-1)
-    cut = np.sort(np.clip(cut, lo, hi), axis=-1)
-    ends = np.concatenate([np.full(cut.shape[:-1] + (1,), lo), cut,
-                           np.full(cut.shape[:-1] + (1,), hi)], axis=-1)
+    # one column per outer array, one row per outer point
+    ends = np.stack(np.broadcast_arrays(*ends), axis=-1)
+    k, m = len(cut), len(cut) + len(above)
+    start = np.max(ends[..., m:], axis=-1, keepdims=True, initial=lo)
+    end = np.min(ends[..., k:m], axis=-1, keepdims=True, initial=hi)
+    end = np.maximum(end, start)
+    ends = np.concatenate([start, np.sort(np.clip(ends[..., :k], start, end),
+                                          axis=-1), end], axis=-1)
     half = 0.5 * np.diff(ends, axis=-1)[..., None]
     mid = 0.5 * (ends[..., 1:] + ends[..., :-1])[..., None]
-    shape = cut.shape[:-1] + (-1,)
+    shape = ends.shape[:-1] + (-1,)
     return (mid + half * x).reshape(shape), (half * w).reshape(shape)

@@ -339,3 +339,26 @@ class TestPMarkedContractions:
                                   power=rng.randint(0, 2),
                                   afpower=rng.randint(0, 1))
             assert shat0(F) == shat0(F, closed_form=False)
+
+
+class TestGreenDefectWork:
+    @pytest.mark.parametrize("k", range(-8, 9, 4))
+    def test_integrand_points(self, k, monkeypatch):
+        # the shapes of the benchmark's green-defect check: one pairing
+        # that integrates only where Delta^R lives, and one overlap integral
+        from bvfact import freeq, quadrature
+        import numpy as np
+        points = []
+
+        def counted(func, *args, **kw):
+            def probe(*xs):
+                points.append(np.broadcast(*xs).size)
+                return func(*xs)
+            return quadrature.integrate(probe, *args, **kw)
+
+        monkeypatch.setattr(freeq, "integrate", counted)
+        shift = Fraction(k, 16)
+        f = mollifier(shift, Fraction(1, 2))
+        g = mollifier(shift + Fraction(1, 4), Fraction(1, 4))
+        assert green_defect(MODEL, f, g, tol=1e-8) < 1e-8
+        assert sum(points) <= 30000

@@ -427,3 +427,36 @@ class TestHornerEulerOperator:
         calls.clear()
         assert {key: v.expr for key, v in el.items()} == _el_per_symbol(L)
         assert len(calls) == k * (k + 1) // 2
+
+
+class TestHomotopyExactnessCheck:
+    def test_primitive_reads_exactness_from_its_own_run(self, monkeypatch):
+        # D(u u_1 u_2): the eta recursion takes 3 total derivatives, and the
+        # exactness check reads R_0 from it instead of running again
+        from bvfact import jetcalc
+        u, u1, u2 = (JetExpr.of(jet("u", (k,), 0), 1) for k in range(3))
+        omega = LagForm.top(total_derivative(u * u1 * u2, 0), 1)
+        calls = []
+
+        def counted(f, i):
+            calls.append(i)
+            return total_derivative(f, i)
+
+        monkeypatch.setattr(jetcalc, "total_derivative", counted)
+        eta, obstruction = homotopy_primitive(omega)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        assert not obstruction
+        assert horizontal_diff(eta) == omega
+
+    def test_defect_lists_the_euler_lagrange_classes(self):
+        from bvfact.jetcalc import _promote_testfns
+        u = JetExpr.of(jet("u", (), 0), 1)
+        ut = JetExpr.of(jet("u", (1,), 0), 1)
+        w = JetExpr.of(tfn("w", ()), 1)
+        with pytest.raises(ExactnessDefect) as info:
+            homotopy_primitive(LagForm.top(w * u * u + ut * ut, 1))
+        got = info.value.el_classes
+        want = euler_lagrange_density(_promote_testfns(w * u * u + ut * ut))
+        assert list(got) == [k for k, v in want.items() if not v.is_zero()]
+        assert all((got[k].expr - want[k].expr).is_zero() for k in got)

@@ -5,6 +5,7 @@ int f cos(wt) and int f sin(wt), and the non-convergence contract."""
 
 import cmath
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -26,80 +27,87 @@ from bvfact.region import (Region, mollifier, partition_of_unity,
 # Scalar reference: the node tree as Taylor-series arithmetic at one point
 # ---------------------------------------------------------------------------
 
+# in 40-digit decimal arithmetic: where a coefficient is a small difference
+# of large terms (a high derivative near its zero), a float series would
+# carry the rounding of those terms, relative to the coefficient
+
+_D0 = Decimal(0)
+
+
 def _ref_mul(a, b):
-    n = len(a)
-    out = np.zeros(n)
-    for i in range(n):
-        if a[i]:
-            out[i:] = out[i:] + a[i] * b[:n - i]
-    return out
+    return [sum((a[j] * b[i - j] for j in range(i + 1)), _D0)
+            for i in range(len(a))]
 
 
 def _ref_div(a, b):
     if b[0] == 0:
         raise ZeroDivisionError
-    n = len(a)
-    out = np.zeros(n)
-    for i in range(n):
-        out[i] = (a[i] - sum(out[j] * b[i - j] for j in range(i))) / b[0]
+    out = []
+    for i in range(len(a)):
+        out.append((a[i] - sum((out[j] * b[i - j] for j in range(i)), _D0))
+                   / b[0])
     return out
 
 
 def _ref_exp(a):
-    n = len(a)
-    out = np.zeros(n)
-    out[0] = math.exp(a[0])
-    for i in range(1, n):
-        out[i] = sum(j * a[j] * out[i - j] for j in range(1, i + 1)) / i
+    out = [a[0].exp()]
+    for i in range(1, len(a)):
+        out.append(sum((j * a[j] * out[i - j] for j in range(1, i + 1)), _D0)
+                   / i)
     return out
+
+
+def _ref(node, t, n):
+    kind = type(node).__name__
+    if kind == "_Const":
+        return [Decimal(node.c)] + [_D0] * (n - 1)
+    if kind == "_Poly":
+        out = [_D0] * n
+        for k, c in enumerate(node.coeffs):
+            for j in range(min(k, n - 1) + 1):
+                # Decimal 0 ** 0 is an invalid operation
+                out[j] += (Decimal(c) * math.comb(k, j)
+                           * (t ** (k - j) if k > j else 1))
+        return out
+    if kind == "_Sum":
+        return [sum(rs, _D0) for rs in zip(*(_ref(ch, t, n)
+                                             for ch in node.children))]
+    if kind == "_Prod":
+        out = None
+        for ch in node.children:
+            s = _ref(ch, t, n)
+            out = s if out is None else _ref_mul(out, s)
+            if not any(out):
+                return [_D0] * n
+        return out
+    if kind == "_Quot":
+        a = _ref(node.num, t, n)
+        if not any(a):
+            return [_D0] * n
+        return _ref_div(a, _ref(node.den, t, n))
+    if kind == "_ExpInv":
+        g = _ref(node.arg, t, n)
+        if g[0] <= 0:
+            return [_D0] * n
+        if math.exp(-1.0 / float(g[0])) == 0.0:
+            # exp(-1/g) is below the float range, and so is every derivative
+            return [_D0] * n
+        one = [Decimal(1)] + [_D0] * (n - 1)
+        return _ref_exp([-r for r in _ref_div(one, g)])
+    if kind == "_Deriv":
+        s = _ref(node.child, t, n + node.k)
+        return [s[j + node.k] * math.factorial(j + node.k) / math.factorial(j)
+                for j in range(n)]
+    if kind == "_Reflect":
+        s = _ref(node.child, -t, n)
+        return [-r if k % 2 else r for k, r in enumerate(s)]
+    raise AssertionError(kind)
 
 
 def ref_series(node, t, n):
     """Taylor coefficients of a bump node at the float t, rows 0..n-1."""
-    kind = type(node).__name__
-    if kind == "_Const":
-        out = np.zeros(n)
-        out[0] = node.c
-        return out
-    if kind == "_Poly":
-        out = np.zeros(n)
-        for k, c in enumerate(node.coeffs):
-            for j in range(min(k, n - 1) + 1):
-                out[j] += c * math.comb(k, j) * t ** (k - j)
-        return out
-    if kind == "_Sum":
-        return sum(ref_series(ch, t, n) for ch in node.children)
-    if kind == "_Prod":
-        out = None
-        for ch in node.children:
-            s = ref_series(ch, t, n)
-            out = s if out is None else _ref_mul(out, s)
-            if not out.any():
-                return np.zeros(n)
-        return out
-    if kind == "_Quot":
-        a = ref_series(node.num, t, n)
-        if not a.any():
-            return np.zeros(n)
-        return _ref_div(a, ref_series(node.den, t, n))
-    if kind == "_ExpInv":
-        g = ref_series(node.arg, t, n)
-        if g[0] <= 0:
-            return np.zeros(n)
-        if math.exp(-1.0 / g[0]) == 0.0:
-            # exp(-1/g) has underflowed to 0, and so has every derivative
-            return np.zeros(n)
-        one = np.zeros(n)
-        one[0] = 1.0
-        return _ref_exp(-_ref_div(one, g))
-    if kind == "_Deriv":
-        s = ref_series(node.child, t, n + node.k)
-        return np.array([s[j + node.k] * math.factorial(j + node.k)
-                         / math.factorial(j) for j in range(n)])
-    if kind == "_Reflect":
-        s = ref_series(node.child, -t, n)
-        return s * np.array([(-1.0) ** k for k in range(n)])
-    raise AssertionError(kind)
+    with localcontext(prec=40):
+        return np.array([float(r) for r in _ref(node, Decimal(t), n)])
 
 
 _HALVES = st.integers(-4, 4).map(lambda k: Fraction(k, 4))
@@ -141,6 +149,9 @@ class TestBumpValues:
     @example((mollifier(0, Fraction(1, 4)) * smoothstep(Fraction(-1, 8), 0),
               [Fraction(-1, 4), Fraction(1, 4)]),
              2, [0.0], [0.5], [-1.0017e-256])
+    @example((mollifier(Fraction(-1, 4), Fraction(1, 4)).d(2),
+              [Fraction(-1, 2), Fraction(0)]),
+             3, [-0.3], [0.33577451919846585], [])
     def test_values_match_scalar_series(self, bump, order, offsets, inner,
                                         extra):
         b, edges = bump
@@ -150,12 +161,7 @@ class TestBumpValues:
         got = b.values(np.array(pts), order)
         assert got.shape == (order + 1, len(pts))
         for i, t in enumerate(pts):
-            # within ~1e-150 of an edge the reference's derivative rows are
-            # inf * 0 = nan; exp(-1/g) has underflowed to 0 there, and so
-            # has every derivative
-            with np.errstate(over="ignore", invalid="ignore"):
-                want = ref_series(b.node, t, order + 1)
-            want = np.nan_to_num(want, nan=0.0)
+            want = ref_series(b.node, t, order + 1)
             scale = 1.0 + np.abs(want)
             assert np.all(np.abs(got[:, i] - want) <= 1e-12 * scale)
             assert np.all(np.abs(b.series(t, order) - want) <= 1e-12 * scale)
@@ -286,3 +292,149 @@ class TestConvergenceContract:
 
     def test_jetcalc_reexports(self):
         assert jetcalc.QuadratureError is QuadratureError
+
+
+# ---------------------------------------------------------------------------
+# One-sided and dropped kinks
+# ---------------------------------------------------------------------------
+
+_GRID = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+@st.composite
+def _boxes(draw, d):
+    """Intervals on a coarse grid, so that two axes overlap, nest, touch or
+    are disjoint, in either order."""
+    return [tuple(sorted(draw(st.lists(_GRID, min_size=2, max_size=2,
+                                       unique=True)))) for _ in range(d)]
+
+
+@st.composite
+def _kinked_boxes(draw):
+    """(bounds, kinks) in 2-D or 3-D: every pair of axes is unkinked or has
+    a kink (a, b), (a, b, 0), (a, b, +1) or (a, b, -1), in either order."""
+    d = draw(st.sampled_from([2, 3]))
+    kinks = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            side = draw(st.sampled_from([None, None, 0, 1, -1]))
+            if side is None:
+                continue
+            if draw(st.booleans()):
+                a, b, side = b, a, -side
+            kinks.append((a, b) if side == 0 and draw(st.booleans())
+                         else (a, b, side))
+    return draw(_boxes(d)), kinks
+
+
+def _kinked_func(bounds, kinks):
+    """A test integrand: at most 1 on the box, vanishing to order 8 at its
+    faces, with a kink |x_a - x_b| at every kink diagonal, and 0 on the
+    forbidden side of every one-sided kink."""
+    def func(*xs):
+        v = 1.0
+        for x, (lo, hi) in zip(xs, bounds):
+            r = 0.5 * (hi - lo)
+            v = v * ((x - lo) * (hi - x) / (r * r)) ** 8 * np.exp(0.3 * x)
+        for a, b, *side in kinks:
+            v = v * (1 + np.abs(xs[a] - xs[b]))
+            if side and side[0]:
+                v = v * (side[0] * (xs[b] - xs[a]) <= 0)
+        return v
+    return func
+
+
+class TestOneSidedKinks:
+    TOL = 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(_kinked_boxes())
+    def test_equals_two_sided_integral_of_the_restriction(self, case):
+        bounds, kinks = case
+        func = _kinked_func(bounds, kinks)
+        v = integrate(func, bounds, self.TOL, kinks)
+        ref = integrate(func, bounds, self.TOL, [k[:2] for k in kinks])
+        assert abs(v - ref) <= max(self.TOL, self.TOL * abs(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.lists(_GRID, min_size=3, max_size=4,
+                                             unique=True),
+           st.booleans(), st.sampled_from([0, 1, -1]), st.data())
+    def test_dropped_kink_gives_kinked_value(self, d, ends, swap, side,
+                                             data):
+        # axes 0 and 1 touch (three ends) or are disjoint (four), in either
+        # order, so the kink's diagonal misses the box interior
+        ends = sorted(ends)
+        pair = [(ends[0], ends[1]), (ends[-2], ends[-1])]
+        bounds = (pair[::-1] if swap else pair) + data.draw(_boxes(d - 2))
+        a, b = data.draw(st.sampled_from([(0, 1), (1, 0)]))
+        func = _kinked_func(bounds, [(a, b)])
+        v = integrate(func, bounds, self.TOL, [(a, b, side)])
+        # the func has converged at n = 32; keep the kink's cut or end at
+        # the n = 64 rule that `integrate` returns
+        if a > b:
+            a, b, side = b, a, -side
+        cuts = [([], [], []) for _ in bounds]  # cut at, end at, start at
+        cuts[b][side].append(a)
+        kinked = quadrature._apply(func, bounds, cuts, 64)
+        assert abs(v - kinked) <= max(self.TOL, self.TOL * abs(kinked))
+        # a one-sided kink either holds on the whole box or nowhere on it
+        lo_a, hi_a = bounds[a]
+        lo_b, hi_b = bounds[b]
+        if side and side * (lo_b - hi_a if side > 0 else hi_b - lo_a) > 0:
+            assert v == 0.0
+
+
+def _two_sided_pairing(kernel, f, g, tol, fderiv=0):
+    """`pair_kernel` as it was before one-sided kinks: the s-interval cut at
+    s = t over the whole of supp f x supp g."""
+    return integrate(lambda t, s: f.deriv(t, fderiv) * kernel.value(t - s)
+                     * g(s), [f.support.bounds()[0], g.support.bounds()[0]],
+                     tol, kinks=[(0, 1)])
+
+
+_EIGHTHS = st.integers(-8, 8).map(lambda k: Fraction(k, 8))
+
+
+class TestCausalPairings:
+    @settings(max_examples=25, deadline=None)
+    @given(_EIGHTHS, _RADII, _EIGHTHS, _RADII, st.sampled_from([0.5, 1, 2]),
+           st.sampled_from([0, 2]))
+    def test_retarded_and_advanced(self, fc, fr, gc, gr, w, fderiv):
+        f, g = mollifier(fc, fr), mollifier(gc, gr)
+        model = OscillatorModel(w)
+        ra = []
+        for kind in ("retarded", "advanced"):
+            k = green(model, kind)
+            v = pair_kernel(k, f, g, fderiv=fderiv)
+            assert abs(v - _two_sided_pairing(k, f, g, 1e-10, fderiv)) \
+                < 1e-10
+            ra.append(v)
+        if fderiv == 0:
+            cf, sf = _transforms(float(fc), float(fr), w)
+            cg, sg = _transforms(float(gc), float(gr), w)
+            assert abs(ra[0] - ra[1] + (sf * cg - cf * sg) / w) < 1e-10
+
+    @pytest.mark.parametrize("gap", [Fraction(0), Fraction(1, 4)])
+    def test_zero_outside_the_causal_future(self, gap):
+        # supp g (touching or) wholly after supp f: Delta^R(t - s) = 0
+        f = mollifier(Fraction(0), Fraction(1, 2))
+        g = mollifier(Fraction(3, 4) + gap, Fraction(1, 4))
+        model = OscillatorModel(1)
+        assert pair_kernel(green(model, "retarded"), f, g) == 0.0
+        assert pair_kernel(green(model, "advanced"), g, f) == 0.0
+        assert pair_kernel(green(model, "retarded"), f, g, fderiv=2) == 0.0
+        assert pair_kernel(green(model, "advanced"), f, g) != 0.0
+
+    @pytest.mark.parametrize("kind", ["retarded", "advanced"])
+    @pytest.mark.parametrize("orient", [1, -1])
+    @pytest.mark.parametrize("gc", [Fraction(1, 4), Fraction(3, 2),
+                                    Fraction(-3, 2)])
+    def test_two_vertex_diagram_equals_pairing(self, kind, orient, gc):
+        f = mollifier(Fraction(0), Fraction(1, 2))
+        g = mollifier(gc, Fraction(1, 4))
+        model = OscillatorModel(1)
+        d = Diagram([Vertex(w=f), Vertex(w=g)], [(0, 1, kind, orient)])
+        ref = pair_kernel(green(model, kind), *((f, g) if orient > 0
+                                                else (g, f)))
+        assert abs(eval_diagram(d, model, {}) - ref) < 1e-10
