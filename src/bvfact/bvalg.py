@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .symexpr import Expr, QI, I
+from .symexpr import Expr, QI, I, koszul_sign
 from .jetcalc import (JetExpr, jet, testfn, total_derivative,
                       euler_lagrange_density, is_total_divergence)
 from .region import Region
@@ -261,15 +261,8 @@ def quartic_interaction(coupling=1, dim=1) -> GenLagrangian:
     return GenLagrangian(density, content, ("f",))
 
 
-_EPS = {}
-for _p in itertools.permutations((1, 2, 3)):
-    _sgn = 1
-    _lst = list(_p)
-    for _i in range(3):
-        for _j in range(_i + 1, 3):
-            if _lst[_i] > _lst[_j]:
-                _sgn = -_sgn
-    _EPS[_p] = _sgn
+_EPS = {tuple(i + 1 for i in p): koszul_sign(p, (1, 1, 1))
+        for p in itertools.permutations(range(3))}
 
 
 def eps(i, j, k):

@@ -53,19 +53,18 @@ class ExtensionError(Exception):
 # ---------------------------------------------------------------------------
 
 class DistKernel:
-    """Closed-form kernel on R minus the origin.
+    """Closed-form kernel on the line minus the origin, in the relative time
+    coordinate.
 
     `func` takes one scalar; called on an array of points, the kernel
     applies it at every point, so the quadrature can pass its node arrays.
     `degree` is the declared scaling degree (a Fraction) or None for
-    "unknown, measure it".  Only dim 1 is supported.  Pairing with a test
-    function supported away from 0 is a plain quadrature.
+    "unknown, measure it"; its extension across 0 subtracts Taylor terms
+    to order floor(degree - 1), 1 being the dimension of the line.  Pairing
+    with a test function supported away from 0 is a plain quadrature.
     """
 
-    def __init__(self, dim, func, degree=None, name=None):
-        if dim != 1:
-            raise ValueError("dim must be 1")
-        self.dim = dim
+    def __init__(self, func, degree=None, name=None):
         self.func = func
         self.degree = None if degree is None else Fraction(degree)
         self.name = name or "kernel"
@@ -81,27 +80,26 @@ class DistKernel:
                                 chi=None, tol=tol)
 
     def __repr__(self):
-        return "DistKernel(%s, dim=%d, degree=%s)" % (
-            self.name, self.dim, self.degree)
+        return "DistKernel(%s, degree=%s)" % (self.name, self.degree)
 
 
 def theta_power(p):
     """theta(x)/x^p on R; scaling degree p."""
     p = Fraction(p)
     pf = float(p)
-    return DistKernel(1, lambda x: x ** -pf if x > 0 else 0.0,
+    return DistKernel(lambda x: x ** -pf if x > 0 else 0.0,
                       degree=p, name="theta/x^%s" % p)
 
 
 def smooth_kernel(func, name="smooth"):
     """A kernel smooth across the origin: scaling degree 0 (if func(0) != 0)."""
-    return DistKernel(1, func, degree=0, name=name)
+    return DistKernel(func, degree=0, name=name)
 
 
 def feynman_power(model: OscillatorModel, m):
     """(G^F)^m(t - s) in the relative coordinate; bounded, so degree 0."""
     gf = PropagatorKernel("feynman", model.omega)
-    return DistKernel(1, lambda x: gf.value(x) ** m, degree=0,
+    return DistKernel(lambda x: gf.value(x) ** m, degree=0,
                       name="feynman^%d" % m)
 
 
@@ -145,7 +143,7 @@ def scaling_degree(t, exact=True, probe=None, tol=1e-9):
 def ambiguity_basis(t: DistKernel):
     """Labels {d^a delta : a <= sd - 1}; empty when sd < 1 (unique)."""
     sd = scaling_degree(t)
-    return [(a,) for a in range(math.floor(sd - t.dim) + 1)]
+    return [(a,) for a in range(math.floor(sd - 1) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +163,8 @@ class ExtendedDist:
         if sd is None:
             raise ExtensionError("infinite scaling degree")
         self.kernel = kernel
-        self.dim = kernel.dim
         self.degree = sd
-        self.order = math.floor(sd - kernel.dim)
+        self.order = math.floor(sd - 1)  # 1: the dimension of the line
         if self.order < 0:
             if weights:
                 warnings.warn("scaling degree below the dimension: the "

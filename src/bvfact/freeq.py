@@ -38,7 +38,7 @@ from itertools import permutations, product as iproduct
 
 import numpy as np
 
-from .symexpr import I, FormalSeries
+from .symexpr import I, FormalSeries, koszul_sign
 from .region import Bump, Region, not_later
 from .quadrature import integrate
 
@@ -252,7 +252,7 @@ class Diagram:
             pos = {old: new for new, old in enumerate(perm)}
             es = tuple(sorted(_norm_edge(pos[a], pos[b], k, o)
                               for a, b, k, o in edges))
-            sgn = _odd_perm_sign(perm, odd)
+            sgn = koszul_sign(perm, odd)
             if best is None or es < best[0]:
                 best = [es, tuple(perm), sgn]
             elif es == best[0] and sgn != best[2]:
@@ -281,15 +281,6 @@ def _concat(d1, d2):
     n = len(d1.verts)
     return (d1.verts + d2.verts,
             d1.edges + tuple((a + n, b + n, k, o) for a, b, k, o in d2.edges))
-
-
-def _odd_perm_sign(perm, odd):
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b] and odd[perm[a]] and odd[perm[b]]:
-                sign = -sign
-    return sign
 
 
 class DiagramPoly:
@@ -364,7 +355,7 @@ class DiagramPoly:
 
     def support(self):
         return Region([b for d, _ in self.terms.values() for v in d.verts
-                       if v.w is not None for b in v.w.support.boxes], 1)
+                       if v.w is not None for b in v.w.support.boxes])
 
 
 def unit(orders=(3, 2)):

@@ -11,24 +11,13 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 
-from .symexpr import Expr, QI, FormalSeries
+from .symexpr import Expr, QI, FormalSeries, koszul_sign
 from .jetcalc import JetExpr, LagForm, evaluate_local
 from .region import Region, Bump
 
 
 class SupportError(ValueError):
     pass
-
-
-def _perm_sign(perm, grades):
-    """Koszul sign for permuting graded slots: perm maps new position ->
-    old index."""
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b] and grades[perm[a]] % 2 and grades[perm[b]] % 2:
-                sign = -sign
-    return sign
 
 
 def _graded_components(expr: Expr):
@@ -58,8 +47,8 @@ class MLTerm:
     def key(self):
         return tuple((s.expr, w.key) for s, w in zip(self.slots, self.weights))
 
-    def support(self, dim=1):
-        return Region([b for w in self.weights for b in w.support.boxes], dim)
+    def support(self):
+        return Region([b for w in self.weights for b in w.support.boxes])
 
 
 def _series(c, orders):
@@ -99,11 +88,11 @@ class MultilocalObs:
                                                     for e in comps.values()]
                 pieces = [done + (o,) for done in pieces for o in opts]
             for slots in pieces:
-                grades = tuple(s.expr.homogeneous_grade() for s in slots)
+                odd = [s.expr.homogeneous_grade() % 2 for s in slots]
                 m = len(slots)
                 inv = Fraction(1, math.factorial(m))
                 for perm in permutations(range(m)):
-                    sgn = _perm_sign(perm, grades)
+                    sgn = koszul_sign(perm, odd)
                     c = coeff * (inv * sgn)
                     _add(MLTerm(tuple(slots[i] for i in perm),
                                 tuple(term.weights[i] for i in perm), c))
@@ -122,8 +111,7 @@ class MultilocalObs:
         # one normalisation of every weight's boxes; a weight shared by many
         # terms is read once
         weights = {id(w): w for t in self.terms for w in t.weights}
-        return Region([b for w in weights.values() for b in w.support.boxes],
-                      self.region.dim)
+        return Region([b for w in weights.values() for b in w.support.boxes])
 
     def evaluate(self, fields, tol=1e-10):
         """Dict (hbar power, lambda power) -> numeric value."""
@@ -176,8 +164,8 @@ def local_observable(integrand: JetExpr, weight: Bump, region=None,
                          region, orders)
 
 
-def constant_observable(value, region=None, dim=1, orders=(3, 2)):
-    region = region or Region.empty(dim)
+def constant_observable(value, region=None, orders=(3, 2)):
+    region = region or Region.empty()
     return MultilocalObs([MLTerm((), (), value)], region, orders)
 
 
@@ -250,10 +238,8 @@ def weiss_decompose(F: MultilocalObs, cover, max_rounds=6):
     are disjoint vanishes identically and is not emitted, and a piece left
     with no terms is omitted.
     """
-    from .region import partition_of_unity, is_weiss_cover
+    from .region import CoverError, partition_of_unity, is_weiss_cover
 
-    if F.region.dim != 1:
-        raise NotImplementedError("weiss_decompose is one-dimensional")
     arity = max([t.degree for t in F.terms], default=1)
     compact = F.support()
     if compact.bounds() is None:
@@ -277,7 +263,7 @@ def weiss_decompose(F: MultilocalObs, cover, max_rounds=6):
                  for k in range(n)]
         try:
             psis = partition_of_unity(small, compact)
-        except Exception:
+        except CoverError:
             continue
         # which cover elements contain which small intervals
         containers = [[j for j in range(pieces)

@@ -68,7 +68,7 @@ def diagram_antibracket(A: DiagramPoly, B: DiagramPoly) -> DiagramPoly:
 # ---------------------------------------------------------------------------
 
 def interacting_bv(F: DiagramPoly, V: DiagramPoly = None,
-                   check=True, tol=1e-8) -> DiagramPoly:
+                   check=True) -> DiagramPoly:
     """s(F) = {S0 + V, F} - i hbar Laplacian(F), the local closed form of
     the interacting quantum BV operator; V = None means the free theory.
 
@@ -77,7 +77,7 @@ def interacting_bv(F: DiagramPoly, V: DiagramPoly = None,
     `check` verifies the QME residual of V before applying the operator.
     """
     if V is not None and check:
-        rep = check_qme_vertex(V, tol=tol)
+        rep = check_qme_vertex(V)
         if not rep["ok"]:
             raise QMEError("QME residual %r above tolerance" % (rep,))
     out = shat0(F)
@@ -86,7 +86,7 @@ def interacting_bv(F: DiagramPoly, V: DiagramPoly = None,
     return out
 
 
-def check_qme_vertex(V: DiagramPoly, fake_anomaly=None, tol=1e-8):
+def check_qme_vertex(V: DiagramPoly, fake_anomaly=None):
     """QME residual for S0 + V at the diagram level:
     (1/2){V, V} + {S0, V} - i hbar Laplacian(V) (+ an injected fake anomaly),
     reported per (hbar, lambda) order."""
@@ -129,8 +129,8 @@ def delta0(factors) -> DiagramPoly:
 # QME at the Lagrangian level
 # ---------------------------------------------------------------------------
 
-def check_qme(L0: GenLagrangian, LI: GenLagrangian = None, f: Bump = None,
-              orders=(3, 2), fake_anomaly=None):
+def check_qme(L0: GenLagrangian, LI: GenLagrangian = None, orders=(3, 2),
+              fake_anomaly=None):
     """Quantum master equation residual for L(f) = L0(f) + lambda LI(f):
     per lambda order the classical bracket densities (tested exactly modulo
     total divergences after cutoff reduction), plus the hbar-linear anomaly

@@ -1,8 +1,9 @@
-"""Flat-spacetime regions, causal structure, Weiss covers, bump functions.
+"""Regions of the time line, causal order, Weiss covers, bump functions.
 
-Regions are finite unions of open axis-aligned boxes with rational endpoints;
-dimension 1 (time line) supports exact causal/cover algebra, dimension 2 is
-predicate/sampling based.  The metric is diag(+,-).
+A region is a finite union of open intervals with rational ends, held in
+normal form: intervals sorted, and intervals that overlap or touch merged.
+Queries read that form directly, and causal order and Weiss covers are
+decided exactly from the interval ends.
 
 Bumps are closed-form compactly supported smooth functions built from the
 mollifier exp(-1/(1-t^2)) under affine placement, sums, products and
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -32,140 +32,85 @@ def _fr(x):
 
 
 class Region:
-    """Finite union of open boxes; normal form merges overlapping/adjacent
-    intervals per axis pattern (exact in dim 1)."""
+    """Finite union of open intervals of the line, in normal form.
 
-    __slots__ = ("dim", "boxes")
+    `boxes` holds one 1-tuple ((lo, hi),) per interval, sorted, no two of
+    them overlapping or touching; so an interval inside the region lies
+    inside one of them, and the first and last give the hull.
+    """
 
-    def __init__(self, boxes=(), dim=1):
-        self.dim = dim
-        norm = []
+    __slots__ = ("boxes",)
+
+    def __init__(self, boxes=()):
+        ivs = []
         for box in boxes:
-            box = tuple((_fr(lo), _fr(hi)) for lo, hi in box)
-            if len(box) != dim:
-                raise ValueError("box arity != dim")
-            if all(lo < hi for lo, hi in box):
-                norm.append(box)
-        if dim == 1:
-            norm = _merge_intervals([b[0] for b in norm])
-            self.boxes = tuple((iv,) for iv in norm)
-        else:
-            self.boxes = tuple(sorted(norm))
+            if len(box) != 1:
+                raise ValueError("a box is one interval ((lo, hi),)")
+            (lo, hi), = box
+            lo, hi = _fr(lo), _fr(hi)
+            if lo < hi:
+                ivs.append((lo, hi))
+        self.boxes = tuple((iv,) for iv in _merge_intervals(ivs))
 
     @staticmethod
     def interval(lo, hi):
-        return Region([((lo, hi),)], dim=1)
+        return Region([((lo, hi),)])
 
     @staticmethod
     def intervals(pairs):
-        return Region([((lo, hi),) for lo, hi in pairs], dim=1)
+        return Region([((lo, hi),) for lo, hi in pairs])
 
     @staticmethod
-    def box2(t0, t1, x0, x1):
-        return Region([((t0, t1), (x0, x1))], dim=2)
-
-    @staticmethod
-    def empty(dim=1):
-        return Region([], dim=dim)
+    def empty():
+        return Region()
 
     def is_empty(self):
         return not self.boxes
 
     def union(self, other):
-        self._chk(other)
-        return Region(self.boxes + other.boxes, self.dim)
+        return Region(self.boxes + other.boxes)
 
     def intersection(self, other):
-        self._chk(other)
-        return Region([tuple((max(l1, l2), min(h1, h2))
-                             for (l1, h1), (l2, h2) in zip(b1, b2))
-                       for b1 in self.boxes for b2 in other.boxes], self.dim)
+        return Region([((max(l1, l2), min(h1, h2)),)
+                       for ((l1, h1),) in self.boxes
+                       for ((l2, h2),) in other.boxes])
 
-    def contains_point(self, pt, closed=False):
-        pt = tuple(pt) if isinstance(pt, (tuple, list, np.ndarray)) else (pt,)
-        for box in self.boxes:
-            ok = True
-            for (lo, hi), v in zip(box, pt):
-                if closed:
-                    if not (lo <= v <= hi):
-                        ok = False
-                        break
-                else:
-                    if not (lo < v < hi):
-                        ok = False
-                        break
-            if ok:
-                return True
-        return False
+    def contains_point(self, pt):
+        t = pt[0] if isinstance(pt, (tuple, list, np.ndarray)) else pt
+        return any(lo < t < hi for ((lo, hi),) in self.boxes)
 
     def contains_region(self, other):
-        self._chk(other)
-        if self.dim == 1:
-            return all(self._covers_interval_1d(b[0]) for b in other.boxes)
-        return all(any(all(so <= oo and oh <= sh
-                           for (so, sh), (oo, oh) in zip(sb, ob))
-                       for sb in self.boxes) for ob in other.boxes)
-
-    def _covers_interval_1d(self, iv):
-        lo, hi = iv
-        mine = sorted(b[0] for b in self.boxes)
-        cur = lo
-        for a, b in mine:
-            if a <= cur < b:
-                cur = b
-            if cur >= hi:
-                return True
-        return cur >= hi
+        # no two intervals of the normal form touch, so an interval inside
+        # the union lies inside one of them
+        return all(any(lo <= a and b <= hi for ((lo, hi),) in self.boxes)
+                   for ((a, b),) in other.boxes)
 
     def intersects(self, other):
-        self._chk(other)
-        for b1 in self.boxes:
-            for b2 in other.boxes:
-                if all(max(l1, l2) < min(h1, h2)
-                       for (l1, h1), (l2, h2) in zip(b1, b2)):
-                    return True
-        return False
+        return any(max(l1, l2) < min(h1, h2)
+                   for ((l1, h1),) in self.boxes
+                   for ((l2, h2),) in other.boxes)
 
     def disjoint_from(self, other):
         return not self.intersects(other)
 
     def bounds(self):
-        """Bounding box as list of (lo, hi) per axis."""
+        """The hull [(lo, hi)], or None for the empty region."""
         if not self.boxes:
             return None
-        out = []
-        for ax in range(self.dim):
-            out.append((min(b[ax][0] for b in self.boxes),
-                        max(b[ax][1] for b in self.boxes)))
-        return out
-
-    def sample_points(self, count, rng):
-        bounds = self.bounds()
-        pts = []
-        while len(pts) < count:
-            p = tuple(rng.uniform(float(lo), float(hi)) for lo, hi in bounds)
-            if self.contains_point(p):
-                pts.append(p if self.dim > 1 else p[0])
-        return pts
-
-    def _chk(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+        return [(self.boxes[0][0][0], self.boxes[-1][0][1])]
 
     def __eq__(self, other):
         if not isinstance(other, Region):
             return NotImplemented
-        return self.dim == other.dim and self.boxes == other.boxes
+        return self.boxes == other.boxes
 
     def __hash__(self):
-        return hash((self.dim, self.boxes))
+        return hash(self.boxes)
 
     def __repr__(self):
         if not self.boxes:
             return "Region(empty)"
-        if self.dim == 1:
-            return "Region(%s)" % " u ".join("(%s,%s)" % b[0] for b in self.boxes)
-        return "Region(%s)" % list(self.boxes)
+        return "Region(%s)" % " u ".join("(%s,%s)" % b[0] for b in self.boxes)
 
 
 def _merge_intervals(ivs):
@@ -180,32 +125,15 @@ def _merge_intervals(ivs):
 
 
 # ---------------------------------------------------------------------------
-# Causal structure, metric diag(+,-,...)
+# Causal structure
 # ---------------------------------------------------------------------------
 
 def not_later(A: Region, B: Region) -> bool:
-    """True iff A does not intersect the causal future of B."""
-    A._chk(B)
+    """True iff A does not intersect the causal future of B: on the line,
+    A's last end is at most B's first start."""
     if A.is_empty() or B.is_empty():
         return True
-    if A.dim == 1:
-        t_min = min(b[0][0] for b in B.boxes)
-        return all(b[0][1] <= t_min for b in A.boxes)
-    # dim 2: exact for boxes under the flat metric
-    for (at0, at1), (ax0, ax1) in A.boxes:
-        for (bt0, bt1), (bx0, bx1) in B.boxes:
-            # separation of the open spatial intervals
-            if ax1 <= bx0:
-                gap = bx0 - ax1
-            elif bx1 <= ax0:
-                gap = ax0 - bx1
-            else:
-                gap = Fraction(0)
-            # some point of A lies in J+(B) iff sup over A of
-            # (t - bt0 - spatial distance) > 0
-            if at1 - bt0 > gap:
-                return False
-    return True
+    return A.boxes[-1][0][1] <= B.boxes[0][0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -221,26 +149,11 @@ class WeissReport:
         return self.ok
 
 
-def is_weiss_cover(cover, U: Region, k: int, rng=None, samples=400):
+def is_weiss_cover(cover, U: Region, k: int):
     """Check that every <=k-point configuration in U lies inside a single
-    cover element.  Exact (endpoint combinatorics) in dim 1; randomized with
-    witness certificates in dim 2."""
+    cover element, exactly, by endpoint combinatorics."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if U.dim == 1:
-        return _weiss_1d(cover, U, k)
-    rng = rng or random.Random(0)
-    if not cover:
-        return WeissReport(U.is_empty())
-    pts = U.sample_points(samples, rng)
-    for _ in range(samples):
-        config = [pts[rng.randrange(len(pts))] for _ in range(k)]
-        if not any(all(V.contains_point(p) for p in config) for V in cover):
-            return WeissReport(False, tuple(config))
-    return WeissReport(True)
-
-
-def _weiss_1d(cover, U, k):
     # elementary intervals: arrangement of all endpoints restricted to U
     endpoints = set()
     for b in U.boxes:
@@ -649,7 +562,9 @@ class _ExpInv(_Node):
 
     def taylor(self, ev, n, flip):
         g = ev.rows(self.arg, n, flip)
-        pos = g[0] > 0
+        # exp(-1/g) is 0.0 in double for 0 < g <= 1e-3 (1/g >= 1000 > 745.2),
+        # so -1/g is formed only above that, where it cannot overflow
+        pos = g[0] > 1e-3
         if not _any(pos):
             return [0.0] * n
         value = _where(pos, _expf(-1.0 / _where(pos, g[0], 1.0)), 0.0)
@@ -699,18 +614,10 @@ def _window_node(a, b, c, d):
 
 def smoothstep(a, b):
     """0 for t <= a, 1 for t >= b, strictly increasing between (a < b)."""
+    # the support is the ray (a, inf); a bounded stand-in tracks it
     a, b = float(a), float(b)
-    # support is (a, inf); track a generous bounded stand-in plus flag
-    return _Step(_step_node(a, b), a)
-
-
-class _Step(Bump):
-    """Smoothstep; support is a ray so region bookkeeping is by the cutoff."""
-
-    def __init__(self, node, a):
-        cut = Fraction(a).limit_denominator(10**9)
-        super().__init__(node, Region.interval(cut, cut + 10**9))
-        self.cut = a
+    cut = Fraction(a).limit_denominator(10**9)
+    return Bump(_step_node(a, b), Region.interval(cut, cut + 10**9))
 
 
 def window(a, b, c, d):
@@ -755,7 +662,7 @@ def constant_one():
 
 
 # ---------------------------------------------------------------------------
-# Partitions of unity (dim 1)
+# Partitions of unity
 # ---------------------------------------------------------------------------
 
 class CoverError(ValueError):
@@ -765,11 +672,8 @@ class CoverError(ValueError):
 def partition_of_unity(cover, compact: Region):
     """Bumps psi_i with supp psi_i inside cover[i] and sum = 1 on `compact`.
 
-    cover elements and `compact` are dim-1 regions; the cover must cover the
-    closure of `compact`.
+    The cover must cover the closure of `compact`.
     """
-    if compact.dim != 1:
-        raise NotImplementedError("partitions of unity implemented for dim 1")
     if compact.is_empty():
         return [Bump(_Const(0.0), Region.empty()) for _ in cover]
     closure = [(b[0][0], b[0][1]) for b in compact.boxes]
@@ -804,7 +708,7 @@ def partition_of_unity(cover, compact: Region):
 
 
 def _meeting_pairs(regions):
-    """The pairs (i, j), i < j, of dim-1 regions that meet, by one sweep over
+    """The pairs (i, j), i < j, of regions that meet, by one sweep over
     their boxes sorted by left end; open intervals that only touch do not
     meet."""
     boxes = sorted(((b[0][0], b[0][1], i) for i, R in enumerate(regions)

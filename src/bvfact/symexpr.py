@@ -246,6 +246,19 @@ class Symbol:
         return self.name + idx
 
 
+def koszul_sign(perm, odd):
+    """Koszul sign of reordering graded factors: perm maps each new position
+    to an old index, odd[i] says whether old factor i is odd, and every
+    inversion of two odd factors flips the sign.  With every factor odd it
+    is the sign of the permutation."""
+    sign = 1
+    for a in range(len(perm)):
+        for b in range(a + 1, len(perm)):
+            if perm[a] > perm[b] and odd[perm[a]] and odd[perm[b]]:
+                sign = -sign
+    return sign
+
+
 # A monomial is a tuple of (Symbol, exponent), sorted by symbol order
 # (ns, name, index, grade).  Odd symbols always carry exponent 1.
 

@@ -223,8 +223,8 @@ class TestWeissPieces:
             assert abs(got - ref) < 1e-10
 
 
-def _union_fold(regions, dim=1):
-    reg = Region.empty(dim)
+def _union_fold(regions):
+    reg = Region.empty()
     for r in regions:
         reg = reg.union(r)
     return reg
@@ -277,3 +277,18 @@ class TestProductConstants:
         assert len(P.terms) == len(expected.terms)
         assert abs(P.scalar(FIELDS) - F.scalar(FIELDS) * G.scalar(FIELDS)) \
             < 1e-10
+
+
+class TestWeissDecomposeErrors:
+    def test_a_bug_in_the_partition_is_not_taken_for_a_bad_cover(
+            self, monkeypatch):
+        # only CoverError sends weiss_decompose on to a finer refinement;
+        # any other error inside partition_of_unity reaches the caller
+        import bvfact.region
+
+        def broken(cover, compact):
+            raise TypeError("broken partition of unity")
+        monkeypatch.setattr(bvfact.region, "partition_of_unity", broken)
+        F, _ = make_FG()
+        with pytest.raises(TypeError, match="broken partition"):
+            weiss_decompose(F, GOOD_COVER)

@@ -2,7 +2,6 @@
 weight functions."""
 
 import math
-import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -28,12 +27,6 @@ class TestRegion:
         assert Region.interval(0, 1).disjoint_from(Region.interval(2, 3))
         assert not Region.interval(0, 1).disjoint_from(
             Region.interval(Fraction(1, 2), 2))
-
-    def test_sample_points_land_inside(self):
-        rng = random.Random(0)
-        r = Region.intervals([(0, 1), (5, 6)])
-        for p in r.sample_points(50, rng):
-            assert r.contains_point(p)
 
 
 class TestCausalOrder:
@@ -424,3 +417,136 @@ class TestPartitionSweep:
         assert len(_psis(n)) == n
         assert calls["limit_denominator"] == 0
         assert calls["intersects"] <= 4 * n
+
+
+# ---------------------------------------------------------------------------
+# Region queries from the normal form against the generic loops over boxes
+# ---------------------------------------------------------------------------
+
+import warnings
+
+
+@st.composite
+def _raw_intervals(draw):
+    """Up to four intervals with ends on a grid of eighths, as drawn: they
+    may overlap, touch, nest, repeat or be empty (lo >= hi)."""
+    return [(draw(_EIGHTHS), draw(_EIGHTHS))
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+# probes on a grid of sixteenths: the odd ones, inside the cells between
+# ends, fix which cells a normal form covers (its ends are then fixed, since
+# it merges the intervals that touch); the even ones are ends
+_PROBES = [Fraction(k, 16) for k in range(-34, 35)]
+
+
+def _in_raw(ivs, x):
+    return any(lo < x < hi for lo, hi in ivs)
+
+
+# The generic loops over boxes of any arity, kept as references.
+
+def _ref_contains_point(boxes, pt):
+    pt = tuple(pt) if isinstance(pt, (tuple, list)) else (pt,)
+    return any(all(lo < v < hi for (lo, hi), v in zip(box, pt))
+               for box in boxes)
+
+
+def _ref_covers_interval(boxes, iv):
+    lo, hi = iv
+    cur = lo
+    for a, b in sorted(box[0] for box in boxes):
+        if a <= cur < b:
+            cur = b
+        if cur >= hi:
+            return True
+    return cur >= hi
+
+
+def _ref_contains_region(A, B):
+    return all(_ref_covers_interval(A.boxes, b[0]) for b in B.boxes)
+
+
+def _ref_intersects(A, B):
+    return any(all(max(l1, l2) < min(h1, h2)
+                   for (l1, h1), (l2, h2) in zip(b1, b2))
+               for b1 in A.boxes for b2 in B.boxes)
+
+
+def _ref_intersection(A, B):
+    return Region([tuple((max(l1, l2), min(h1, h2))
+                         for (l1, h1), (l2, h2) in zip(b1, b2))
+                   for b1 in A.boxes for b2 in B.boxes])
+
+
+def _ref_bounds(A):
+    if not A.boxes:
+        return None
+    return [(min(b[ax][0] for b in A.boxes), max(b[ax][1] for b in A.boxes))
+            for ax in range(len(A.boxes[0]))]
+
+
+def _ref_not_later(A, B):
+    if A.is_empty() or B.is_empty():
+        return True
+    t_min = min(b[0][0] for b in B.boxes)
+    return all(b[0][1] <= t_min for b in A.boxes)
+
+
+def _assert_normal(R):
+    ivs = [b[0] for b in R.boxes]
+    assert all(len(b) == 1 for b in R.boxes)
+    assert all(lo < hi for lo, hi in ivs)
+    # sorted, and no two overlapping or touching
+    assert all(h1 < l2 for (_, h1), (l2, _) in zip(ivs, ivs[1:]))
+
+
+class TestNormalFormQueries:
+    @settings(max_examples=400, deadline=None)
+    @given(_raw_intervals(), _raw_intervals())
+    @example([(0, Fraction(1, 2)), (Fraction(1, 2), 1)], [(0, 1)])
+    @example([(0, 1), (2, 3)], [(0, 1), (2, 3)])
+    @example([(0, 1), (2, 3)], [(Fraction(1, 2), Fraction(5, 2))])
+    def test_queries_equal_the_generic_loops(self, ra, rb):
+        A, B = Region.intervals(ra), Region.intervals(rb)
+        for R in (A, B, A.union(B), A.intersection(B)):
+            _assert_normal(R)
+        assert A.intersection(B) == _ref_intersection(A, B)
+        for x in _PROBES:
+            assert A.contains_point(x) == _ref_contains_point(A.boxes, x)
+            assert A.contains_point((x,)) == _ref_contains_point(A.boxes, x)
+            if x.denominator == 16:
+                assert A.contains_point(x) == _in_raw(ra, x)
+                assert A.union(B).contains_point(x) == \
+                    (_in_raw(ra, x) or _in_raw(rb, x))
+                assert A.intersection(B).contains_point(x) == \
+                    (_in_raw(ra, x) and _in_raw(rb, x))
+        # the regions from the queries share ends with A and B
+        for R, S in [(A, B), (B, A), (A, A), (A, A.union(B)),
+                     (A.union(B), A), (A, A.intersection(B)),
+                     (A.intersection(B), B)]:
+            assert R.contains_region(S) == _ref_contains_region(R, S)
+            assert R.intersects(S) == _ref_intersects(R, S)
+            assert R.disjoint_from(S) == (not _ref_intersects(R, S))
+            assert not_later(R, S) == _ref_not_later(R, S)
+            assert R.bounds() == _ref_bounds(R)
+
+    def test_a_box_of_two_intervals_raises(self):
+        with pytest.raises(ValueError):
+            Region([((0, 1), (0, 1))])
+        with pytest.raises(ValueError):
+            Region([((0, 1), (1, 1))])  # empty in the second axis
+
+
+class TestExpInvTinyArgument:
+    def test_subnormal_argument_makes_no_overflow_warning(self):
+        # at t = 1e-310 the step's argument t is subnormal: -1/t would
+        # overflow to -inf, where exp(-1/t) is 0.0 anyway
+        s = smoothstep(0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vals = s.values(np.array([1e-310, 0.5]), 1)
+        assert vals[0, 0] == 0.0 and vals[1, 0] == 0.0
+        assert vals[0, 1] == s(0.5) == s.values(0.5, 1)[0]
+        assert vals[1, 1] == s.values(0.5, 1)[1]
+        assert s(1e-310) == 0.0

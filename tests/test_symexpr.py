@@ -369,3 +369,25 @@ class TestSeriesOverQI:
             assert c.constant_part() is c
         s = FormalSeries({(1, 0): Expr.const(I)}, orders=(3, 2))
         assert s.coeffs[(1, 0)].constant_part().to_complex() == 1j
+
+
+class TestKoszulSign:
+    @settings(max_examples=200, deadline=None)
+    @given(st.permutations(range(5)), st.lists(st.booleans(), min_size=5,
+                                               max_size=5))
+    def test_sign_of_the_odd_factors_permutation(self, perm, odd):
+        from bvfact.symexpr import koszul_sign
+        # the odd factors in their new order, as ranks among themselves; the
+        # sign is that permutation's parity, read from its cycles
+        olds = [i for i in perm if odd[i]]
+        ranks = [sorted(olds).index(i) for i in olds]
+        seen, parity = set(), 0
+        for start in range(len(ranks)):
+            length = 0
+            while start not in seen:
+                seen.add(start)
+                start = ranks[start]
+                length += 1
+            parity += max(length - 1, 0)
+        assert koszul_sign(perm, odd) == (-1) ** parity
+        assert koszul_sign(perm, [False] * 5) == 1
