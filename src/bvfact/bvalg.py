@@ -216,8 +216,7 @@ def gauge_fix(L: GenLagrangian, Psi: GenLagrangian) -> GenLagrangian:
                          tuple(dict.fromkeys(L.unit_on + Psi.unit_on)))
 
 
-def bv_vector_field(S: GenLagrangian, F: LocalFunctional,
-                    keep_cutoff=False) -> LocalFunctional:
+def bv_vector_field(S: GenLagrangian, F: LocalFunctional) -> LocalFunctional:
     """Q_S(F) = {S(f), F} with a cutoff f == 1 on supp F.
 
     The cutoff test symbols of S are eliminated by the support rewrite, so
@@ -228,8 +227,7 @@ def bv_vector_field(S: GenLagrangian, F: LocalFunctional,
     br = antibracket_density(S.content, S.density, F.density)
     active = set(F.weights) | {s.name for s in F.density.expr.symbols()
                                if s.ns == "tf"}
-    if not keep_cutoff:
-        br = reduce_cutoff(br, S.testnames, active or None)
+    br = reduce_cutoff(br, S.testnames, active or None)
     return LocalFunctional(br, F.region, F.content, dict(F.weights))
 
 
@@ -368,19 +366,17 @@ def su2_yang_mills(dim=2, ac_coeff=1) -> GenLagrangian:
     return GenLagrangian(density, content, ("fp", "fpp"), unit_on=("fp",))
 
 
-def eliminate_b(L: GenLagrangian, prefix="b_", strip_tests=True) -> GenLagrangian:
-    """Integrate out the Nakanishi-Lautrup fields: each b enters at most
+def eliminate_b(L: GenLagrangian) -> GenLagrangian:
+    """Integrate out the Nakanishi-Lautrup fields b_*: each b enters at most
     quadratically with a constant quadratic coefficient, so its equation of
     motion is algebraic and can be substituted back exactly.
 
-    With `strip_tests` the test-function symbols are first set to 1 (their
-    derivatives to 0), giving the constant-coefficient local form used for
-    principal-part analysis."""
-    density = L.density.expr
-    if strip_tests:
-        density = reduce_cutoff(JetExpr(density, L.dim), L.testnames).expr
+    The test-function symbols are first set to 1 (their derivatives to 0),
+    giving the constant-coefficient local form used for principal-part
+    analysis."""
+    density = reduce_cutoff(L.density, L.testnames).expr
     for name, grade in L.content.fields:
-        if not name.startswith(prefix):
+        if not name.startswith("b_"):
             continue
         s = L.content.sym(name)
         d1 = density.dleft(s)

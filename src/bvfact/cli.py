@@ -340,14 +340,10 @@ def _weiss(cfg, rng, orders, tol):
                 c = c.to_complex() if c is not None else 0
                 if not c:
                     continue
-                a1 = _density_value(t.slots[0], x, fields, {}) \
-                    * t.weights[0](x)
-                b1 = _density_value(t.slots[1], y, fields, {}) \
-                    * t.weights[1](y)
-                a2 = _density_value(t.slots[0], y, fields, {}) \
-                    * t.weights[0](y)
-                b2 = _density_value(t.slots[1], x, fields, {}) \
-                    * t.weights[1](x)
+                a1 = _density_value(t.slots[0], x, fields) * t.weights[0](x)
+                b1 = _density_value(t.slots[1], y, fields) * t.weights[1](y)
+                a2 = _density_value(t.slots[0], y, fields) * t.weights[0](y)
+                b2 = _density_value(t.slots[1], x, fields) * t.weights[1](x)
                 tot += c * (a1 * b1 + a2 * b2)
             return tot
 

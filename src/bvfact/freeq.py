@@ -39,7 +39,7 @@ from itertools import permutations, product as iproduct
 import numpy as np
 
 from .symexpr import I, FormalSeries, koszul_sign
-from .region import Bump, Region, not_later
+from .region import Bump, not_later, union_of
 from .quadrature import integrate
 
 
@@ -140,7 +140,7 @@ def _pair(kernel, f, g, tol, ft, gs):
     if fb is None or gb is None:
         return 0.0
     return integrate(lambda t, s: ft(t) * kernel.value(t - s) * gs(s),
-                     [fb[0], gb[0]], tol, [(0, 1, _KINKED[kernel.kind])]
+                     [fb, gb], tol, [(0, 1, _KINKED[kernel.kind])]
                      if kernel.kind in _KINKED else ())
 
 
@@ -159,7 +159,7 @@ def _overlap_integral(f: Bump, g: Bump, tol):
     b = f.support.intersection(g.support).bounds()
     if b is None:
         return 0.0
-    return integrate(lambda t: f(t) * g(t), b, tol)
+    return integrate(lambda t: f(t) * g(t), [b], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +354,8 @@ class DiagramPoly:
                           for d, c in self.terms.values()) or "0"
 
     def support(self):
-        return Region([b for d, _ in self.terms.values() for v in d.verts
-                       if v.w is not None for b in v.w.support.boxes])
+        return union_of(v.w.support for d, _ in self.terms.values()
+                        for v in d.verts if v.w is not None)
 
 
 def unit(orders=(3, 2)):
@@ -614,9 +614,10 @@ def eval_diagram(diag: Diagram, model: OscillatorModel, fields,
 
     bounds = []
     for v in verts:
-        if v.w is None or v.w.support.bounds() is None:
+        b = None if v.w is None else v.w.support.bounds()
+        if b is None:
             return 0.0
-        bounds.append(v.w.support.bounds()[0])
+        bounds.append(b)
     kinks = [(a, b, _KINKED[k] * o) for a, b, k, o in diag.edges
              if k in _KINKED]
     return complex(integrate(integrand, bounds, tol, kinks))

@@ -9,6 +9,9 @@ Symbols live in three namespaces:
 
 A LagForm of degree p stores one JetExpr per strictly increasing p-tuple of
 base indices; antisymmetry is absorbed into the sorted keys.
+
+Numeric evaluation (`evaluate_local`) integrates a top form on the line
+against one bump weight; field samples are those of `bvfact.numfields`.
 """
 
 from __future__ import annotations
@@ -288,7 +291,7 @@ def is_total_divergence(density: JetExpr) -> bool:
     for mono, c in density.expr.terms.items():
         if all(s.ns == "x" for s, _ in mono):
             return False
-    promoted = _promote_testfns(density)
+    promoted = _promote_test_symbols(density)
     els = euler_lagrange_density(promoted)
     return all(v.is_zero() for v in els.values())
 
@@ -296,7 +299,7 @@ def is_total_divergence(density: JetExpr) -> bool:
 _TF_PREFIX = "@tf:"
 
 
-def _promote_testfns(density: JetExpr) -> JetExpr:
+def _promote_test_symbols(density: JetExpr) -> JetExpr:
     table = {}
     for s in density.expr.symbols():
         if s.ns == "tf":
@@ -304,8 +307,8 @@ def _promote_testfns(density: JetExpr) -> JetExpr:
     return JetExpr(density.expr.subs(table), density.dim)
 
 
-def _demote_testfns(expr: Expr) -> Expr:
-    """Inverse of _promote_testfns."""
+def _demote_test_symbols(expr: Expr) -> Expr:
+    """Inverse of _promote_test_symbols."""
     table = {}
     for s in expr.symbols():
         if s.ns == "jet" and s.name.startswith(_TF_PREFIX):
@@ -380,7 +383,7 @@ def homotopy_primitive(omega: LagForm, check: bool = True):
                 raise NotClosedError(d)
         raise NotImplementedError(
             "homotopy primitives of %d-forms in dimension %d" % (p, n))
-    density = _promote_testfns(omega.component(tuple(range(n))))
+    density = _promote_test_symbols(omega.component(tuple(range(n))))
     # each monomial of field degree d >= 1 scaled by 1/d; degree 0 kept apart
     scaled, base = {}, {}
     for mono, c in density.expr.terms.items():
@@ -403,7 +406,7 @@ def homotopy_primitive(omega: LagForm, check: bool = True):
                                if not v.is_zero()})
     comps = {}
     for i, e in enumerate(eta):
-        e = _demote_testfns(e)
+        e = _demote_test_symbols(e)
         comps[tuple(j for j in range(n) if j != i)] = -e if i % 2 else e
     return LagForm(n - 1, n, comps), QI(0)
 
@@ -411,64 +414,43 @@ def homotopy_primitive(omega: LagForm, check: bool = True):
 # Numeric evaluation of local functionals
 # ---------------------------------------------------------------------------
 
-def _density_value(density: JetExpr, pt, fields, testfns):
-    """The density at `pt`: a point or an array of points in dim 1, a pair of
-    coordinates (floats, or arrays that broadcast) in dim 2."""
-    xs = pt if density.dim > 1 else (pt,)
+def _density_value(density: JetExpr, t, fields):
+    """The density on the line at `t`, a point or an array of points; a
+    test-function symbol raises `KeyError`, as it has no sample."""
     assign = {}
     for s in density.expr.symbols():
         if s.ns == "x":
-            assign[s] = xs[s.index[0]]
+            assign[s] = t
         elif s.ns == "jet":
-            mu = _pad(s.index, density.dim)
             try:
                 fld = fields[s.name]
             except KeyError:
                 raise KeyError("no sample for field %r" % s.name)
-            assign[s] = fld.jet(pt, mu)
-        elif s.ns == "tf":
-            mu = _pad(s.index, density.dim)
-            try:
-                tf = testfns[s.name]
-            except KeyError:
-                raise KeyError("no sample for test function %r" % s.name)
-            assign[s] = tf.jet(pt, mu) if hasattr(tf, "jet") \
-                else tf.deriv(xs[0], mu[0])
+            assign[s] = fld.jet(t, s.index)
+        else:
+            raise KeyError("no sample for test function %r" % s.name)
     return density.expr.evalf(assign)
 
 
-def evaluate_local(lagform: LagForm, weight, fields, testfns=None,
-                   tol=1e-10):
+def evaluate_local(lagform: LagForm, weight, fields, tol=1e-10):
     """Integral of (density at the sampled field) * weight, one
-    `bvfact.quadrature.integrate` call over the box of the weight's support.
+    `bvfact.quadrature.integrate` call over the hull of the weight's support.
 
-    dim 1: weight is a region.Bump.  dim 2: weight is a pair of Bumps
-    (product weight).  The field samples and test functions are evaluated
-    on the node arrays.  Returns a complex number, or a float when the
-    imaginary part is 0; raises `QuadratureError` when the rule misses `tol`.
+    The form is a top form on the line and the weight a region.Bump.  The
+    field samples are evaluated on the node arrays.  Returns a complex
+    number, or a float when the imaginary part is 0; raises `QuadratureError`
+    when the rule misses `tol`.
     """
-    testfns = testfns or {}
     if lagform.degree != lagform.dim:
         raise ValueError("evaluate_local needs a top-degree form")
-    if lagform.dim not in (1, 2):
-        raise NotImplementedError("evaluate_local supports dim 1 and 2")
-    density = lagform.component(tuple(range(lagform.dim)))
-    if density.is_zero():
+    if lagform.dim != 1:
+        raise NotImplementedError("evaluate_local supports dim 1 only")
+    density = lagform.component((0,))
+    hull = weight.support.bounds()
+    if density.is_zero() or hull is None:
         return 0.0
-    weights = (weight,) if lagform.dim == 1 else tuple(weight)
-    boxes = [w.support.bounds() for w in weights]
-    if None in boxes:
-        return 0.0
-
-    def integrand(*xs):
-        pt = xs[0] if lagform.dim == 1 else xs
-        v = _density_value(density, pt, fields, testfns)
-        for w, x in zip(weights, xs):
-            v = v * w(x)
-        return v
-
-    val = integrate(integrand, [(float(b[0][0]), float(b[0][1]))
-                                for b in boxes], tol=tol)
+    val = integrate(lambda t: _density_value(density, t, fields) * weight(t),
+                    [hull], tol=tol)
     return val.real if isinstance(val, complex) and not val.imag else val
 
 

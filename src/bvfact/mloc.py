@@ -13,7 +13,7 @@ from itertools import permutations, product
 
 from .symexpr import Expr, QI, FormalSeries, koszul_sign
 from .jetcalc import JetExpr, LagForm, evaluate_local
-from .region import Region, Bump
+from .region import Region, Bump, union_of
 
 
 class SupportError(ValueError):
@@ -48,7 +48,7 @@ class MLTerm:
         return tuple((s.expr, w.key) for s, w in zip(self.slots, self.weights))
 
     def support(self):
-        return Region([b for w in self.weights for b in w.support.boxes])
+        return union_of(w.support for w in self.weights)
 
 
 def _series(c, orders):
@@ -108,10 +108,10 @@ class MultilocalObs:
         return out
 
     def support(self):
-        # one normalisation of every weight's boxes; a weight shared by many
-        # terms is read once
+        # one normalisation of every weight's support; a weight shared by
+        # many terms is read once
         weights = {id(w): w for t in self.terms for w in t.weights}
-        return Region([b for w in weights.values() for b in w.support.boxes])
+        return union_of(w.support for w in weights.values())
 
     def evaluate(self, fields, tol=1e-10):
         """Dict (hbar power, lambda power) -> numeric value."""
@@ -228,7 +228,10 @@ class WeissDecompositionError(ValueError):
         self.witness = witness
 
 
-def weiss_decompose(F: MultilocalObs, cover, max_rounds=6):
+_WEISS_ROUNDS = 6  # refinements of 4, 8, ..., 128 intervals
+
+
+def weiss_decompose(F: MultilocalObs, cover):
     """Split F into pieces supported (slotwise) in single cover elements.
 
     Returns a list of (MultilocalObs, cover index).  Uses a partition of
@@ -242,7 +245,8 @@ def weiss_decompose(F: MultilocalObs, cover, max_rounds=6):
 
     arity = max([t.degree for t in F.terms], default=1)
     compact = F.support()
-    if compact.bounds() is None:
+    hull = compact.bounds()
+    if hull is None:
         return [(F, 0)]
     rep = is_weiss_cover(cover, F.region, arity)
     if not rep.ok:
@@ -250,9 +254,9 @@ def weiss_decompose(F: MultilocalObs, cover, max_rounds=6):
             "cover fails the Weiss condition at arity %d" % arity,
             witness=rep.witness)
 
-    lo, hi = compact.bounds()[0]
+    lo, hi = hull
     pieces = len(cover)
-    for round_ in range(max_rounds):
+    for round_ in range(_WEISS_ROUNDS):
         n = 4 * 2 ** round_
         step = Fraction(hi - lo, n)
         pad = step  # overlap half-steps so the small cover is open
@@ -316,7 +320,7 @@ def _assign(F, psis, containers, pieces):
 # Taylor coproduct
 # ---------------------------------------------------------------------------
 
-def coproduct(alpha: JetExpr, field_names=None):
+def coproduct(alpha: JetExpr):
     """Finite sum alpha_(1) (x) alpha_(2) with jets split u -> u' + u''.
 
     Returns a list of (left: JetExpr, right: JetExpr, coeff: QI) with left
@@ -329,7 +333,7 @@ def coproduct(alpha: JetExpr, field_names=None):
     dim = alpha.dim
     table = {}
     for s in alpha.expr.symbols():
-        if s.ns == "jet" and (field_names is None or s.name in field_names):
+        if s.ns == "jet":
             left = Symbol("jet", s.name + "'", s.index, s.grade)
             right = Symbol("jet", s.name + "''", s.index, s.grade)
             table[s] = Expr.sym(left) + Expr.sym(right)

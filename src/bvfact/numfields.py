@@ -1,9 +1,9 @@
-"""Closed-form sampled fields for numeric evaluation of functionals.
+"""Closed-form sampled fields on the line for numeric evaluation of
+functionals.
 
-A field sample is any object with ``jet(pt, mu) -> float`` returning the
-partial derivative of multi-index mu at the point (pt is a scalar in dim 1,
-a tuple in dim 2).  The dim-1 samples also take an array of points and
-return an array.
+A field sample is any object with ``jet(t, mu) -> float`` returning the
+derivative of order mu[0] (0 for an empty mu) at the point t.  Given an
+array of points, it returns an array.
 """
 
 from __future__ import annotations
@@ -74,18 +74,6 @@ class Gaussian1D:
         val = sum(c * x ** j for j, c in enumerate(p))
         exp = np.exp if isinstance(x, np.ndarray) else math.exp
         return val * exp(-self.s * x * x)
-
-
-class Separable2D:
-    """Product f(t) g(x) of two dim-1 samples."""
-
-    def __init__(self, f, g):
-        self.f, self.g = f, g
-
-    def jet(self, pt, mu):
-        t, x = pt
-        mu = tuple(mu) + (0, 0)
-        return self.f.jet(t, (mu[0],)) * self.g.jet(x, (mu[1],))
 
 
 def zero_field():

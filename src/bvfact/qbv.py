@@ -28,20 +28,20 @@ class QMEError(Exception):
 # Interaction vertices and cutoffs
 # ---------------------------------------------------------------------------
 
-def interaction_vertex(f: Bump, power=4, coupling=1,
-                       orders=(3, 2)) -> DiagramPoly:
-    """V = lambda * coupling * int f(t) u(t)^power dt as a diagram."""
-    lam = FormalSeries({(0, 1): Fraction(coupling)}, orders)
+def interaction_vertex(f: Bump, power=4, orders=(3, 2)) -> DiagramPoly:
+    """V = lambda * int f(t) u(t)^power dt as a diagram."""
+    lam = FormalSeries({(0, 1): Fraction(1)}, orders)
     return field_obs(f, power=power, orders=orders).scale(lam)
 
 
-def plateau_cutoff(region: Region, margin=Fraction(1, 4)) -> Bump:
-    """A cutoff equal to 1 on the closure of `region`, built from the region
-    algebra: the convention f == 1 on supp(F)."""
+def plateau_cutoff(region: Region) -> Bump:
+    """A cutoff equal to 1 on the closure of `region` and supported within
+    1/4 of its hull: the convention f == 1 on supp(F)."""
     b = region.bounds()
     if b is None:
         raise ValueError("empty region has no plateau cutoff")
-    lo, hi = b[0]
+    lo, hi = b
+    margin = Fraction(1, 4)
     return window(lo - margin, lo, hi, hi + margin)
 
 

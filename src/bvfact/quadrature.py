@@ -2,9 +2,11 @@
 
 This is the one integrator of the package: it serves the `freeq` pairings
 and diagrams, the `egren` pairings, `jetcalc.evaluate_local` and the CLI.
-`egren` cuts its intervals at 0 and at the edges of supp f, and on the
-pieces that touch 0 integrates a kernel of degree k/q in s = |x|^(1/q),
-where the endpoint singularity x^(k/q) becomes smooth.
+A box is a list of (lo, hi) pairs, one per axis; the callers take each from
+the hull of a bump's support (`Region.bounds()`, one pair), so a one-axis
+box over it is [hull].  `egren` cuts its intervals at 0 and at the edges of
+supp f, and on the pieces that touch 0 integrates a kernel of degree k/q in
+s = |x|^(1/q), where the endpoint singularity x^(k/q) becomes smooth.
 
 An integral over the box prod_l [lo_l, hi_l] is taken with an n-point
 Gauss-Legendre rule on every axis (a tensor rule).  n doubles until two
@@ -98,7 +100,8 @@ def _legendre(n, x):
 
 def integrate(func, bounds, tol=1e-10, kinks=()):
     """Integral of `func` over the box `bounds`, a list of (lo, hi) pairs,
-    with `kinks` (a, b) or (a, b, side) as in the module docstring.
+    one per axis, with `kinks` (a, b) or (a, b, side) as in the module
+    docstring.
 
     Returns a float for a real integrand and a complex for a complex one.
     Raises `QuadratureError` when the rules reach the node cap before two

@@ -34,83 +34,82 @@ def _fr(x):
 class Region:
     """Finite union of open intervals of the line, in normal form.
 
-    `boxes` holds one 1-tuple ((lo, hi),) per interval, sorted, no two of
-    them overlapping or touching; so an interval inside the region lies
-    inside one of them, and the first and last give the hull.
+    `_ivs` holds the intervals (lo, hi), sorted, no two of them overlapping
+    or touching; so an interval inside the region lies inside one of them,
+    and the first and last give the hull.  No other module reads it.
     """
 
-    __slots__ = ("boxes",)
+    __slots__ = ("_ivs",)
 
-    def __init__(self, boxes=()):
+    def __init__(self, pairs=()):
         ivs = []
-        for box in boxes:
-            if len(box) != 1:
-                raise ValueError("a box is one interval ((lo, hi),)")
-            (lo, hi), = box
+        for lo, hi in pairs:
             lo, hi = _fr(lo), _fr(hi)
             if lo < hi:
                 ivs.append((lo, hi))
-        self.boxes = tuple((iv,) for iv in _merge_intervals(ivs))
+        self._ivs = tuple(_merge_intervals(ivs))
 
     @staticmethod
     def interval(lo, hi):
-        return Region([((lo, hi),)])
+        return Region([(lo, hi)])
 
     @staticmethod
     def intervals(pairs):
-        return Region([((lo, hi),) for lo, hi in pairs])
+        return Region(pairs)
 
     @staticmethod
     def empty():
         return Region()
 
     def is_empty(self):
-        return not self.boxes
+        return not self._ivs
 
     def union(self, other):
-        return Region(self.boxes + other.boxes)
+        return union_of((self, other))
 
     def intersection(self, other):
-        return Region([((max(l1, l2), min(h1, h2)),)
-                       for ((l1, h1),) in self.boxes
-                       for ((l2, h2),) in other.boxes])
+        return Region([(max(l1, l2), min(h1, h2))
+                       for l1, h1 in self._ivs for l2, h2 in other._ivs])
 
-    def contains_point(self, pt):
-        t = pt[0] if isinstance(pt, (tuple, list, np.ndarray)) else pt
-        return any(lo < t < hi for ((lo, hi),) in self.boxes)
+    def contains_point(self, t):
+        return any(lo < t < hi for lo, hi in self._ivs)
 
     def contains_region(self, other):
         # no two intervals of the normal form touch, so an interval inside
         # the union lies inside one of them
-        return all(any(lo <= a and b <= hi for ((lo, hi),) in self.boxes)
-                   for ((a, b),) in other.boxes)
+        return all(any(lo <= a and b <= hi for lo, hi in self._ivs)
+                   for a, b in other._ivs)
 
     def intersects(self, other):
         return any(max(l1, l2) < min(h1, h2)
-                   for ((l1, h1),) in self.boxes
-                   for ((l2, h2),) in other.boxes)
+                   for l1, h1 in self._ivs for l2, h2 in other._ivs)
 
     def disjoint_from(self, other):
         return not self.intersects(other)
 
     def bounds(self):
-        """The hull [(lo, hi)], or None for the empty region."""
-        if not self.boxes:
+        """The hull (lo, hi), or None for the empty region."""
+        if not self._ivs:
             return None
-        return [(self.boxes[0][0][0], self.boxes[-1][0][1])]
+        return self._ivs[0][0], self._ivs[-1][1]
 
     def __eq__(self, other):
         if not isinstance(other, Region):
             return NotImplemented
-        return self.boxes == other.boxes
+        return self._ivs == other._ivs
 
     def __hash__(self):
-        return hash(self.boxes)
+        return hash(self._ivs)
 
     def __repr__(self):
-        if not self.boxes:
+        if not self._ivs:
             return "Region(empty)"
-        return "Region(%s)" % " u ".join("(%s,%s)" % b[0] for b in self.boxes)
+        return "Region(%s)" % " u ".join("(%s,%s)" % iv for iv in self._ivs)
+
+
+def union_of(regions):
+    """The union of `regions`, normalised once."""
+    return Region([iv for R in regions for iv in R._ivs])
 
 
 def _merge_intervals(ivs):
@@ -121,7 +120,7 @@ def _merge_intervals(ivs):
             out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:
             out.append((lo, hi))
-    return [tuple(iv) for iv in out]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +132,7 @@ def not_later(A: Region, B: Region) -> bool:
     A's last end is at most B's first start."""
     if A.is_empty() or B.is_empty():
         return True
-    return A.boxes[-1][0][1] <= B.boxes[0][0][0]
+    return A._ivs[-1][1] <= B._ivs[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +155,9 @@ def is_weiss_cover(cover, U: Region, k: int):
         raise ValueError("k must be >= 1")
     # elementary intervals: arrangement of all endpoints restricted to U
     endpoints = set()
-    for b in U.boxes:
-        endpoints.update(b[0])
-    for V in cover:
-        for b in V.boxes:
-            endpoints.update(b[0])
+    for R in [U, *cover]:
+        for iv in R._ivs:
+            endpoints.update(iv)
     endpoints = sorted(endpoints)
     # representative points: elementary-interval midpoints plus the
     # arrangement endpoints themselves (membership flips exactly there, so
@@ -213,7 +210,7 @@ def is_weiss_cover(cover, U: Region, k: int):
 # unity) evaluates the numerator once and adds that value in its place in
 # the sum (`_Sum.reading`), as `_Taylor` reads it from its memo.  The
 # denominator of psi_k sums only the windows whose supports meet w_k's,
-# found by one sweep over the support boxes sorted by left end
+# found by one sweep over the support intervals sorted by left end
 # (`_meeting_pairs`), not by testing every pair.
 
 def _where(cond, x, y):
@@ -676,14 +673,13 @@ def partition_of_unity(cover, compact: Region):
     """
     if compact.is_empty():
         return [Bump(_Const(0.0), Region.empty()) for _ in cover]
-    closure = [(b[0][0], b[0][1]) for b in compact.boxes]
+    closure = compact._ivs
     delta = _delta(cover, closure)
     half = delta / 2
     windows = []
     for V in cover:
         nodes, ivs = [], []
-        for box in V.boxes:
-            lo, hi = box[0]
+        for lo, hi in V._ivs:
             if hi - lo <= delta:
                 continue
             a, b = lo + half, hi - half
@@ -709,13 +705,13 @@ def partition_of_unity(cover, compact: Region):
 
 def _meeting_pairs(regions):
     """The pairs (i, j), i < j, of regions that meet, by one sweep over
-    their boxes sorted by left end; open intervals that only touch do not
-    meet."""
-    boxes = sorted(((b[0][0], b[0][1], i) for i, R in enumerate(regions)
-                    for b in R.boxes), key=lambda box: box[0])
+    their intervals sorted by left end; open intervals that only touch do
+    not meet."""
+    ivs = sorted(((lo, hi, i) for i, R in enumerate(regions)
+                  for lo, hi in R._ivs), key=lambda iv: iv[0])
     live, out = [], set()
-    for lo, hi, i in boxes:
-        # the boxes begun before this one still open past its left end
+    for lo, hi, i in ivs:
+        # the intervals begun before this one still open past its left end
         live = [(h, j) for h, j in live if h > lo]
         out.update((j, i) if j < i else (i, j) for _, j in live if j != i)
         live.append((hi, i))
@@ -725,10 +721,10 @@ def _meeting_pairs(regions):
 def _delta(cover, closure):
     """The first delta = 1/2, 1/4, ..., 1/2^39 whose shrunk cover covers the
     closed intervals `closure`, or CoverError."""
-    # an end x of `closure` lies in a shrunk box [l + delta, h - delta] only
-    # if delta <= min(x - l, h - x): every delta above the least such depth
-    # fails, so the search starts at the first 1/2^k below it
-    depth = min(max([min(x - l, h - x) for V in cover for ((l, h),) in V.boxes
+    # an end x of `closure` lies in a shrunk interval [l + delta, h - delta]
+    # only if delta <= min(x - l, h - x): every delta above the least such
+    # depth fails, so the search starts at the first 1/2^k below it
+    depth = min(max([min(x - l, h - x) for V in cover for l, h in V._ivs
                      if l < x < h], default=0)
                 for iv in closure for x in iv)
     if depth > 0:
@@ -740,10 +736,10 @@ def _delta(cover, closure):
 
 
 def _shrunk_covers(cover, closed_intervals, delta):
-    # each closed interval must lie in one closed shrunk box [lo+delta,
-    # hi-delta] after the boxes that meet or touch are merged
+    # each closed interval must lie in one closed shrunk interval [lo+delta,
+    # hi-delta] after the intervals that meet or touch are merged
     shrunk = _merge_intervals([(lo + delta, hi - delta) for V in cover
-                               for ((lo, hi),) in V.boxes
+                               for lo, hi in V._ivs
                                if hi - lo > 2 * delta])
     return all(any(a <= lo and hi <= b for a, b in shrunk)
                for lo, hi in closed_intervals)

@@ -31,8 +31,8 @@ from bvfact.freeq import (OscillatorModel, green, green_defect, field_obs,
                           eval_poly, delta_s0, shat0, causal_check)
 from bvfact import egren
 from bvfact.egren import (theta_power, smooth_kernel, feynman_power,
-                          scaling_degree, ambiguity_basis, standard_cutoff,
-                          ExtendedDist, TimeOrder2, main_theorem_check,
+                          scaling_degree, ambiguity_basis, ExtendedDist,
+                          TimeOrder2, main_theorem_check,
                           recover_delta_coefficient)
 from bvfact.qbv import (interaction_vertex, interacting_bv, check_qme,
                         delta0, amwi_check)
@@ -247,7 +247,7 @@ def _symmetrized_kernel(obs, pts, fields):
         for perm in itertools.permutations(pts):
             prod = c
             for s, w, x in zip(t.slots, t.weights, perm):
-                prod *= _density_value(s, x, fields, {}) * w(x)
+                prod *= _density_value(s, x, fields) * w(x)
             tot += prod
     return tot
 
@@ -340,8 +340,8 @@ class TestFreeQuantum:
 
             def fc(t):
                 return sum(z * b(t) for b, z in terms)
-            lo = min(float(b.support.bounds()[0][0]) for b, _ in terms)
-            hi = max(float(b.support.bounds()[0][1]) for b, _ in terms)
+            lo = min(float(b.support.bounds()[0]) for b, _ in terms)
+            hi = max(float(b.support.bounds()[1]) for b, _ in terms)
 
             def outer(t):
                 v, _ = quad(lambda s: (fc(t).conjugate() * W.value(t - s)
@@ -430,10 +430,8 @@ class TestExtensionLayer:
         f = mollifier(0, Fraction(1, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = ExtendedDist(k, weights={(0,): 0.0},
-                             chi=standard_cutoff()).pair(f)
-            b = ExtendedDist(k, weights={(0,): 5.0},
-                             chi=standard_cutoff()).pair(f)
+            a = ExtendedDist(k, weights={(0,): 0.0}).pair(f)
+            b = ExtendedDist(k, weights={(0,): 5.0}).pair(f)
         _line("extension: unique case weight-independent < 1e-12",
               abs(a - b) < 1e-12, "diff=%.3g" % abs(a - b))
 

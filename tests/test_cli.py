@@ -34,7 +34,7 @@ class TestConfigParsing:
 
     def test_weight_literal(self):
         w = parse_weight("mollifier(1/2, 1/2)")
-        assert w.support.bounds() == [(Fraction(0), Fraction(1))]
+        assert w.support.bounds() == (Fraction(0), Fraction(1))
 
     def test_orders(self):
         assert parse_orders(None) == (3, 2)
@@ -116,16 +116,15 @@ sys.modules["scipy"] = None   # any import of scipy now raises ImportError
 from fractions import Fraction
 from bvfact.cli import main
 from bvfact.jetcalc import JetExpr, LagForm, evaluate_local, jet
-from bvfact.numfields import Poly1D, Separable2D
+from bvfact.numfields import Poly1D
 from bvfact.region import mollifier
 
 out = sys.argv[1]
 for suite in ("eg-extend", "rg-check"):
     assert main([suite, "--seed", "0", "--out", out]) == 0, suite
 w = mollifier(0, Fraction(1, 2))
-u = JetExpr.of(jet("u", (), 0), 2)
-fields = {"u": Separable2D(Poly1D([1, 1]), Poly1D([1]))}
-assert evaluate_local(LagForm.top(u, 2), (w, w), fields) > 0.04
+u = JetExpr.of(jet("u", (), 0), 1)
+assert evaluate_local(LagForm.top(u, 1), w, {"u": Poly1D([1, 1])}) > 0.2
 """
 
 

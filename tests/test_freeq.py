@@ -67,8 +67,8 @@ class TestKernels:
 
             def fc(t):
                 return sum(z * b(t) for b, z in terms)
-            lo = min(float(b.support.bounds()[0][0]) for b, _ in terms)
-            hi = max(float(b.support.bounds()[0][1]) for b, _ in terms)
+            lo = min(float(b.support.bounds()[0]) for b, _ in terms)
+            hi = max(float(b.support.bounds()[1]) for b, _ in terms)
 
             def outer(t):
                 v, _ = quad(lambda s: (fc(t).conjugate() * W.value(t - s)

@@ -17,7 +17,7 @@ from bvfact.jetcalc import (jet, JetExpr, LagForm, total_derivative,
                             jetexpr_to_text)
 from bvfact.jetcalc import testfn as tfn, xsym
 from bvfact.region import mollifier
-from bvfact.numfields import Poly1D, Separable2D
+from bvfact.numfields import Poly1D
 
 
 def random_jetexpr(rng, dim=1, nterm=3, maxdeg=3, maxord=2, grades=None):
@@ -187,15 +187,29 @@ class TestEvaluateLocal:
                        epsabs=1e-12, epsrel=1e-12)
         assert abs(got - want) < 1e-10
 
-    def test_dim2_imaginary_part(self):
+    def test_complex_density_imaginary_part(self):
+        u = JetExpr.of(jet("u", (), 0), 1)
+        w = mollifier(0, Fraction(1, 2))
+        fields = {"u": Poly1D([1])}
+        re = evaluate_local(LagForm.top(u, 1), w, fields, tol=1e-8)
+        im = evaluate_local(LagForm.top(u * QI(0, 1), 1), w, fields,
+                            tol=1e-8)
+        assert isinstance(re, float) and isinstance(im, complex)
+        assert re > 0.2
+        assert abs(im - 1j * re) < 1e-9
+
+    def test_dim2_form_raises(self):
         u = JetExpr.of(jet("u", (), 0), 2)
         w = mollifier(0, Fraction(1, 2))
-        fields = {"u": Separable2D(Poly1D([1]), Poly1D([1]))}
-        re = evaluate_local(LagForm.top(u, 2), (w, w), fields, tol=1e-8)
-        im = evaluate_local(LagForm.top(u * QI(0, 1), 2), (w, w), fields,
-                            tol=1e-8)
-        assert re > 0.04
-        assert abs(im - 1j * re) < 1e-9
+        with pytest.raises(NotImplementedError):
+            evaluate_local(LagForm.top(u, 2), w, {"u": Poly1D([1])})
+
+    def test_test_function_symbol_raises_naming_it(self):
+        u = JetExpr.of(jet("u", (), 0), 1)
+        f = JetExpr.of(tfn("f", ()), 1)
+        w = mollifier(0, Fraction(1, 2))
+        with pytest.raises(KeyError, match="test function 'f'"):
+            evaluate_local(LagForm.top(f * u, 1), w, {"u": Poly1D([1])})
 
 
 class TestTextRoundtrip:
@@ -323,9 +337,9 @@ def _el_per_symbol(density, right=False):
 def _eta_by_lowering(omega):
     """The homotopy primitive's components by integrating each s_K P by
     parts, lowering the last nonzero entry of K first."""
-    from bvfact.jetcalc import _demote_testfns, _promote_testfns
+    from bvfact.jetcalc import _demote_test_symbols, _promote_test_symbols
     n = omega.dim
-    density = _promote_testfns(omega.component(tuple(range(n))))
+    density = _promote_test_symbols(omega.component(tuple(range(n))))
     scaled, base = {}, {}
     for mono, c in density.expr.terms.items():
         d = sum(e for s, e in mono if s.ns != "x")
@@ -350,7 +364,7 @@ def _eta_by_lowering(omega):
             q = -total_derivative(q, i)
     comps = {}
     for i, e in enumerate(eta):
-        e = _demote_testfns(e)
+        e = _demote_test_symbols(e)
         comps[tuple(j for j in range(n) if j != i)] = -e if i % 2 else e
     return LagForm(n - 1, n, comps)
 
@@ -450,13 +464,14 @@ class TestHomotopyExactnessCheck:
         assert horizontal_diff(eta) == omega
 
     def test_defect_lists_the_euler_lagrange_classes(self):
-        from bvfact.jetcalc import _promote_testfns
+        from bvfact.jetcalc import _promote_test_symbols
         u = JetExpr.of(jet("u", (), 0), 1)
         ut = JetExpr.of(jet("u", (1,), 0), 1)
         w = JetExpr.of(tfn("w", ()), 1)
         with pytest.raises(ExactnessDefect) as info:
             homotopy_primitive(LagForm.top(w * u * u + ut * ut, 1))
         got = info.value.el_classes
-        want = euler_lagrange_density(_promote_testfns(w * u * u + ut * ut))
+        want = euler_lagrange_density(
+            _promote_test_symbols(w * u * u + ut * ut))
         assert list(got) == [k for k, v in want.items() if not v.is_zero()]
         assert all((got[k].expr - want[k].expr).is_zero() for k in got)

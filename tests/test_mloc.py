@@ -109,7 +109,7 @@ def symmetrized_kernel(obs, pts, fields):
         for perm in itertools.permutations(pts):
             prod = c
             for s, w, x in zip(t.slots, t.weights, perm):
-                prod *= _density_value(s, x, fields, {}) * w(x)
+                prod *= _density_value(s, x, fields) * w(x)
             tot += prod
     return tot
 

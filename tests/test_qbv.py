@@ -71,7 +71,7 @@ class TestInteractingDifferential:
         V = vertex()
         F = field_obs(G_BUMP, power=2, afpower=1, orders=ORDERS)
         out = interacting_bv(F, V, check=False)
-        lo, hi = out.support().bounds()[0]
+        lo, hi = out.support().bounds()
         assert lo >= Fraction(-1, 2) and hi <= Fraction(1, 2)
 
 

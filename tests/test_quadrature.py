@@ -132,7 +132,8 @@ def bumps(draw):
         psis = partition_of_unity(cover, Region.interval(c - Fraction(1, 2),
                                                          c + 1))
         psi = psis[draw(st.integers(0, 1))]
-        return psi, [float(x) for b in psi.support.boxes for x in b[0]]
+        # each cover element is one interval, so psi's support is one too
+        return psi, [float(x) for x in psi.support.bounds()]
     if kind == "deriv":
         return mollifier(c, r).d(draw(st.integers(1, 3))), [c - r, c + r]
     m = mollifier(c, r)
@@ -389,7 +390,7 @@ def _two_sided_pairing(kernel, f, g, tol, fderiv=0):
     """`pair_kernel` as it was before one-sided kinks: the s-interval cut at
     s = t over the whole of supp f x supp g."""
     return integrate(lambda t, s: f.deriv(t, fderiv) * kernel.value(t - s)
-                     * g(s), [f.support.bounds()[0], g.support.bounds()[0]],
+                     * g(s), [f.support.bounds(), g.support.bounds()],
                      tol, kinks=[(0, 1)])
 
 

@@ -18,8 +18,8 @@ class TestRegion:
 
     def test_containment(self):
         r = Region.intervals([(0, 1), (2, 3)])
-        assert r.contains_point((0.5,))
-        assert not r.contains_point((1.5,))
+        assert r.contains_point(0.5)
+        assert not r.contains_point(1.5)
         assert r.contains_region(Region.interval(Fraction(1, 4),
                                                  Fraction(3, 4)))
 
@@ -59,13 +59,13 @@ class TestWeissCover:
         x, y = rep.witness
         # the witness pair fits in no single cover element
         for C in bad:
-            assert not (C.contains_point((x,)) and C.contains_point((y,)))
+            assert not (C.contains_point(x) and C.contains_point(y))
 
 
 class TestBump:
     def test_mollifier_support_and_positivity(self):
         w = mollifier(Fraction(1, 2), Fraction(1, 2))
-        assert w.support.bounds() == [(Fraction(0), Fraction(1))]
+        assert w.support.bounds() == (Fraction(0), Fraction(1))
         assert w(0.5) > 0
         assert w(-0.1) == 0.0 and w(1.1) == 0.0
 
@@ -181,7 +181,8 @@ def _leaves(draw):
     n = draw(st.sampled_from([2, 8]))
     psis = _psis(n, c - r, c + r)
     psi = psis[draw(st.integers(0, n - 1))]
-    edges = [x for b in psi.support.boxes for x in b[0]]
+    # each cover element of `_psis` is one interval, so psi's support is one
+    edges = list(psi.support.bounds())
     return psi * mollifier(c, r / 2), edges + [c - r / 2, c + r / 2]
 
 
@@ -288,11 +289,11 @@ _EIGHTHS = st.integers(-16, 16).map(lambda k: Fraction(k, 8))
 
 
 @st.composite
-def _unions(draw, min_boxes=0, max_boxes=3):
-    """A dim-1 region: a union of `min_boxes` to `max_boxes` rational
-    intervals, possibly touching one another."""
+def _unions(draw, min_ivs=0, max_ivs=3):
+    """A region: a union of `min_ivs` to `max_ivs` rational intervals,
+    possibly touching one another."""
     ivs = []
-    for _ in range(draw(st.integers(min_boxes, max_boxes))):
+    for _ in range(draw(st.integers(min_ivs, max_ivs))):
         lo = draw(_EIGHTHS)
         ivs.append((lo, lo + draw(st.integers(1, 12)) * Fraction(1, 8)))
     return Region.intervals(ivs)
@@ -304,8 +305,8 @@ def _chain_covers(draw):
     each overlapping the next by 0 to 3/8 and spread over a few cover
     elements.  An overlap of 0 or a chain that starts or ends on the hull
     leaves a point of the closure uncovered."""
-    compact = draw(_unions(min_boxes=1, max_boxes=2))
-    lo, hi = compact.bounds()[0]
+    compact = draw(_unions(min_ivs=1, max_ivs=2))
+    lo, hi = compact.bounds()
     eighth = Fraction(1, 8)
     ivs, cur = [], lo - draw(st.integers(0, 3)) * eighth
     while True:
@@ -327,8 +328,7 @@ def _retry_delta(cover, closure):
     def shrunk_covers(delta):
         shrunk = []
         for V in cover:
-            for box in V.boxes:
-                lo, hi = box[0]
+            for lo, hi in V._ivs:
                 if hi - lo > 2 * delta:
                     shrunk.append((lo + delta, hi - delta))
         shrunk = _merge_intervals(shrunk)
@@ -379,17 +379,18 @@ class TestPartitionSweep:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_chain_covers(),
                      st.tuples(st.lists(_unions(), min_size=1, max_size=6),
-                               _unions(min_boxes=1, max_boxes=2))),
+                               _unions(min_ivs=1, max_ivs=2))),
            st.sampled_from([1, 3, 5, 64, 1000]))
     # (-1, 1) and (1, 3) leave the point 1 uncovered
     @example(([Region.interval(-1, 1), Region.interval(1, 3)],
               Region.interval(0, 2)), 1)
     def test_delta_equals_the_retry_loop(self, case, denom):
         cover, compact = case
-        # the compact set scaled by 1/denom reaches deep deltas
-        closure = [(b[0][0] / denom, b[0][1] / denom) for b in compact.boxes]
+        # the compact set scaled by 1/denom reaches deep deltas; `_delta`
+        # reads the stored intervals, as `partition_of_unity` passes them
+        closure = [(lo / denom, hi / denom) for lo, hi in compact._ivs]
         cover = [Region.intervals([(lo / denom, hi / denom)
-                                   for ((lo, hi),) in V.boxes])
+                                   for lo, hi in V._ivs])
                  for V in cover]
         assert _outcome_of(_delta, cover, closure) == \
             _outcome_of(_retry_delta, cover, closure)
@@ -420,10 +421,12 @@ class TestPartitionSweep:
 
 
 # ---------------------------------------------------------------------------
-# Region queries from the normal form against the generic loops over boxes
+# Region queries from the normal form against references on the raw draws
 # ---------------------------------------------------------------------------
 
 import warnings
+
+from bvfact.region import union_of
 
 
 @st.composite
@@ -434,68 +437,56 @@ def _raw_intervals(draw):
             for _ in range(draw(st.integers(0, 4)))]
 
 
-# probes on a grid of sixteenths: the odd ones, inside the cells between
-# ends, fix which cells a normal form covers (its ends are then fixed, since
-# it merges the intervals that touch); the even ones are ends
+# probes on a grid of sixteenths: the odd ones lie inside the cells between
+# ends, the even ones are ends; a region whose ends are on the grid of
+# eighths is fixed by which probes it contains
 _PROBES = [Fraction(k, 16) for k in range(-34, 35)]
+_CELL = Fraction(1, 32)
 
+
+# References computed from the raw intervals alone.  A region is the
+# interior of the closure of their union (intervals that touch merge), so a
+# probe lies in it iff the cells on both sides of it meet an interval.
 
 def _in_raw(ivs, x):
     return any(lo < x < hi for lo, hi in ivs)
 
 
-# The generic loops over boxes of any arity, kept as references.
-
-def _ref_contains_point(boxes, pt):
-    pt = tuple(pt) if isinstance(pt, (tuple, list)) else (pt,)
-    return any(all(lo < v < hi for (lo, hi), v in zip(box, pt))
-               for box in boxes)
+def _ref_contains_point(ivs, x):
+    return _in_raw(ivs, x - _CELL) and _in_raw(ivs, x + _CELL)
 
 
-def _ref_covers_interval(boxes, iv):
-    lo, hi = iv
-    cur = lo
-    for a, b in sorted(box[0] for box in boxes):
-        if a <= cur < b:
-            cur = b
-        if cur >= hi:
-            return True
-    return cur >= hi
+def _ref_contains_region(ivs_a, ivs_b):
+    return all(_ref_contains_point(ivs_a, x) for x in _PROBES
+               if _ref_contains_point(ivs_b, x))
 
 
-def _ref_contains_region(A, B):
-    return all(_ref_covers_interval(A.boxes, b[0]) for b in B.boxes)
+def _ref_intersects(ivs_a, ivs_b):
+    return any(_ref_contains_point(ivs_a, x) and _ref_contains_point(ivs_b, x)
+               for x in _PROBES)
 
 
-def _ref_intersects(A, B):
-    return any(all(max(l1, l2) < min(h1, h2)
-                   for (l1, h1), (l2, h2) in zip(b1, b2))
-               for b1 in A.boxes for b2 in B.boxes)
-
-
-def _ref_intersection(A, B):
-    return Region([tuple((max(l1, l2), min(h1, h2))
-                         for (l1, h1), (l2, h2) in zip(b1, b2))
-                   for b1 in A.boxes for b2 in B.boxes])
-
-
-def _ref_bounds(A):
-    if not A.boxes:
+def _ref_bounds(ivs):
+    ivs = [(lo, hi) for lo, hi in ivs if lo < hi]
+    if not ivs:
         return None
-    return [(min(b[ax][0] for b in A.boxes), max(b[ax][1] for b in A.boxes))
-            for ax in range(len(A.boxes[0]))]
+    return min(lo for lo, _ in ivs), max(hi for _, hi in ivs)
 
 
-def _ref_not_later(A, B):
-    if A.is_empty() or B.is_empty():
-        return True
-    t_min = min(b[0][0] for b in B.boxes)
-    return all(b[0][1] <= t_min for b in A.boxes)
+def _ref_not_later(ivs_a, ivs_b):
+    a, b = _ref_bounds(ivs_a), _ref_bounds(ivs_b)
+    return a is None or b is None or a[1] <= b[0]
+
+
+def _ref_union_fold(regions):
+    out = Region.empty()
+    for R in regions:
+        out = out.union(R)
+    return out
 
 
 def _assert_normal(R):
-    ivs = [b[0] for b in R.boxes]
-    assert all(len(b) == 1 for b in R.boxes)
+    ivs = R._ivs
     assert all(lo < hi for lo, hi in ivs)
     # sorted, and no two overlapping or touching
     assert all(h1 < l2 for (_, h1), (l2, _) in zip(ivs, ivs[1:]))
@@ -508,34 +499,40 @@ class TestNormalFormQueries:
     @example([(0, 1), (2, 3)], [(0, 1), (2, 3)])
     @example([(0, 1), (2, 3)], [(Fraction(1, 2), Fraction(5, 2))])
     def test_queries_equal_the_generic_loops(self, ra, rb):
-        A, B = Region.intervals(ra), Region.intervals(rb)
-        for R in (A, B, A.union(B), A.intersection(B)):
+        # (region, its raw intervals): those of a union are its parts', those
+        # of an intersection the pairwise intersections of its parts'
+        A = (Region.intervals(ra), ra)
+        B = (Region.intervals(rb), rb)
+        union = (A[0].union(B[0]), ra + rb)
+        meet = (A[0].intersection(B[0]),
+                [(max(l1, l2), min(h1, h2)) for l1, h1 in ra for l2, h2 in rb])
+        for R, r in (A, B, union, meet):
             _assert_normal(R)
-        assert A.intersection(B) == _ref_intersection(A, B)
+            for x in _PROBES:
+                assert R.contains_point(x) == _ref_contains_point(r, x)
         for x in _PROBES:
-            assert A.contains_point(x) == _ref_contains_point(A.boxes, x)
-            assert A.contains_point((x,)) == _ref_contains_point(A.boxes, x)
-            if x.denominator == 16:
-                assert A.contains_point(x) == _in_raw(ra, x)
-                assert A.union(B).contains_point(x) == \
-                    (_in_raw(ra, x) or _in_raw(rb, x))
-                assert A.intersection(B).contains_point(x) == \
-                    (_in_raw(ra, x) and _in_raw(rb, x))
+            assert meet[0].contains_point(x) == \
+                (_ref_contains_point(ra, x) and _ref_contains_point(rb, x))
         # the regions from the queries share ends with A and B
-        for R, S in [(A, B), (B, A), (A, A), (A, A.union(B)),
-                     (A.union(B), A), (A, A.intersection(B)),
-                     (A.intersection(B), B)]:
-            assert R.contains_region(S) == _ref_contains_region(R, S)
-            assert R.intersects(S) == _ref_intersects(R, S)
-            assert R.disjoint_from(S) == (not _ref_intersects(R, S))
-            assert not_later(R, S) == _ref_not_later(R, S)
-            assert R.bounds() == _ref_bounds(R)
+        for (R, r), (S, s) in [(A, B), (B, A), (A, A), (A, union), (union, A),
+                               (A, meet), (meet, B)]:
+            assert R.contains_region(S) == _ref_contains_region(r, s)
+            assert R.intersects(S) == _ref_intersects(r, s)
+            assert R.disjoint_from(S) == (not _ref_intersects(r, s))
+            assert not_later(R, S) == _ref_not_later(r, s)
+            assert R.bounds() == _ref_bounds(r)
 
-    def test_a_box_of_two_intervals_raises(self):
-        with pytest.raises(ValueError):
-            Region([((0, 1), (0, 1))])
-        with pytest.raises(ValueError):
-            Region([((0, 1), (1, 1))])  # empty in the second axis
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_raw_intervals(), max_size=4))
+    def test_union_of_equals_a_fold_of_unions(self, raws):
+        regions = [Region.intervals(r) for r in raws]
+        U = union_of(regions)
+        _assert_normal(U)
+        assert U == _ref_union_fold(regions)
+        every = [iv for r in raws for iv in r]
+        assert U.bounds() == _ref_bounds(every)
+        for x in _PROBES:
+            assert U.contains_point(x) == _ref_contains_point(every, x)
 
 
 class TestExpInvTinyArgument:

@@ -6,8 +6,7 @@ import pytest
 
 from bvfact.registry import available_models, load_model
 from bvfact.bvalg import check_cme
-from bvfact.numfields import (Poly1D, Harmonic1D, Gaussian1D, Separable2D,
-                              zero_field)
+from bvfact.numfields import Poly1D, Harmonic1D, Gaussian1D, zero_field
 
 
 class TestRegistry:
