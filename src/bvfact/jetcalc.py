@@ -56,11 +56,12 @@ def _pad(mu, n):
 class JetExpr:
     """Expr over base, jet and test-function symbols on an n-dim base."""
 
-    __slots__ = ("expr", "dim")
+    __slots__ = ("expr", "dim", "_hash")
 
     def __init__(self, expr: Expr, dim: int):
         self.expr = expr
         self.dim = dim
+        # _hash is set on the first hash
 
     @staticmethod
     def const(c, dim):
@@ -103,7 +104,16 @@ class JetExpr:
         return self.dim == other.dim and self.expr == other.expr
 
     def __hash__(self):
-        return hash((self.dim, self.expr))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((self.dim, self.expr))
+            return h
+
+    def __reduce__(self):
+        # the cached hash stays behind: symbols hash by identity, so a hash
+        # holds in one process only
+        return JetExpr, (self.expr, self.dim)
 
     def __bool__(self):
         return bool(self.expr)

@@ -241,7 +241,8 @@ def weiss_decompose(F: MultilocalObs, cover):
     are disjoint vanishes identically and is not emitted, and a piece left
     with no terms is omitted.
     """
-    from .region import CoverError, partition_of_unity, is_weiss_cover
+    from .region import (CoverError, containers, partition_of_unity,
+                         is_weiss_cover)
 
     arity = max([t.degree for t in F.terms], default=1)
     compact = F.support()
@@ -257,29 +258,30 @@ def weiss_decompose(F: MultilocalObs, cover):
     lo, hi = hull
     pieces = len(cover)
     for round_ in range(_WEISS_ROUNDS):
-        n = 4 * 2 ** round_
-        step = Fraction(hi - lo, n)
-        pad = step  # overlap half-steps so the small cover is open
-        # overlapping refinement; overshoots the hull slightly so the closure
-        # of the support is covered (weights must close up inside the region)
-        small = [Region.interval(lo + k * step - pad / 2,
-                                 lo + (k + 1) * step + pad / 2)
-                 for k in range(n)]
+        pairs = _refinement(lo, hi, 4 * 2 ** round_)
         try:
-            psis = partition_of_unity(small, compact)
+            psis = partition_of_unity([Region.interval(a, b)
+                                       for a, b in pairs], compact)
         except CoverError:
             continue
         # which cover elements contain which small intervals
-        containers = [[j for j in range(pieces)
-                       if cover[j].contains_region(small[k])]
-                      for k in range(n)]
-        assignment = _assign(F, psis, containers, pieces)
+        assignment = _assign(F, psis, containers(cover, pairs), pieces)
         if assignment is not None:
             return assignment
     # produce a witness: a tuple of small-interval midpoints with no common
     # container (should not happen for a genuine Weiss cover)
     raise WeissDecompositionError("could not refine the partition of unity "
                                   "to fit the cover", witness=None)
+
+
+def _refinement(lo, hi, n):
+    """The n small intervals (lo + (k - 1/2) step, lo + (k + 3/2) step),
+    step = (hi - lo) / n: neighbours overlap by a step so the small cover is
+    open, and the ends overshoot the hull by half a step so the closure of
+    the support is covered (weights must close up inside the region)."""
+    half = Fraction(hi - lo, 2 * n)
+    ends = [lo + (2 * j - 1) * half for j in range(n + 2)]
+    return list(zip(ends, ends[2:]))
 
 
 def _assign(F, psis, containers, pieces):

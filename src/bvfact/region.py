@@ -8,10 +8,12 @@ decided exactly from the interval ends.
 Bumps are closed-form compactly supported smooth functions built from the
 mollifier exp(-1/(1-t^2)) under affine placement, sums, products and
 quotients.  A call on one number, `f(t)`, runs the node tree's compiled
-order-0 closure, plain `math` on one float; everything else (arrays,
-`values`, `series`, `deriv`, `derivs`) evaluates with derivatives to any
-order through Taylor-series arithmetic (`_Taylor`), and the two agree bit
-for bit at order 0.
+order-0 closure, plain `math` on one float, and the bump keeps the last
+three points it evaluated with their values, so a repeat is read back (a
+Weiss piece's shared weight is read at every point of a term's slots);
+everything else (arrays, `values`, `series`, `deriv`, `derivs`) evaluates
+with derivatives to any order through Taylor-series arithmetic (`_Taylor`),
+and the two agree bit for bit at order 0.
 """
 
 from __future__ import annotations
@@ -185,6 +187,26 @@ def is_weiss_cover(cover, U: Region, k: int):
     return WeissReport(True)
 
 
+def containers(cover, intervals):
+    """For each interval (a, b) of `intervals`, the indices of the cover
+    elements that contain it, increasing.
+
+    The left ends and the right ends must both be sorted, as on a uniform
+    grid; then the intervals inside one cover interval (l, h) are one run,
+    from the first with a >= l to the last with b <= h, found by bisection.
+    """
+    from bisect import bisect_left, bisect_right
+
+    lefts = [a for a, _ in intervals]
+    rights = [b for _, b in intervals]
+    out = [[] for _ in intervals]
+    for j, V in enumerate(cover):
+        for lo, hi in V._ivs:
+            for k in range(bisect_left(lefts, lo), bisect_right(rights, hi)):
+                out[k].append(j)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Bumps: Taylor-series arithmetic nodes
 # ---------------------------------------------------------------------------
@@ -221,6 +243,10 @@ def _where(cond, x, y):
 
 def _any(cond):
     return cond.any() if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def _same_sign(x, y):
+    return math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
 def _expf(x):
@@ -320,13 +346,35 @@ class Bump:
         """Taylor coefficients f(t), f'(t)/1!, ..., f^(order)(t)/order!."""
         return self.values(t, order)
 
+    # the last three points of scalar calls and their values, newest first:
+    # a piece weight psi_k * w is read at up to three points in a row, one
+    # per slot of the degree-3 terms that hold it (nan never matches).  The
+    # tuple is replaced whole, so a reader never sees a half-written entry.
+    _last = (math.nan, 0.0) * 3
+
     def __call__(self, t):
         if type(t) is not float:
             if not isinstance(t, (int, float)):  # np.float64 is a float
                 v = self.series(t, 0)[0]
                 return v if np.ndim(v) else float(v)
             t = float(t)
-        return self.node.scalar()(t)
+        a, va, b, vb, c, vc = last = self._last
+        # equal floats have equal bits, except 0.0 and -0.0
+        if t == a and (t or _same_sign(t, a)):
+            return va
+        if t == b and (t or _same_sign(t, b)):
+            return vb
+        if t == c and (t or _same_sign(t, c)):
+            return vc
+        v = self.node.scalar()(t)
+        self._last = (t, v) + last[:4]
+        return v
+
+    def __getstate__(self):
+        # the memo of scalar calls stays behind, as the nodes' closures do
+        state = dict(self.__dict__)
+        state.pop("_last", None)
+        return state
 
     def deriv(self, t, k):
         v = self.series(t, k)[k] * math.factorial(k)

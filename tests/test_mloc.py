@@ -292,3 +292,97 @@ class TestWeissDecomposeErrors:
         F, _ = make_FG()
         with pytest.raises(TypeError, match="broken partition"):
             weiss_decompose(F, GOOD_COVER)
+
+
+# ---------------------------------------------------------------------------
+# Weiss pieces: each shared weight evaluated once per point, and the
+# containers of the refinement found in one pass
+# ---------------------------------------------------------------------------
+
+import itertools
+import pickle
+
+from bvfact.mloc import _refinement
+from bvfact.region import containers
+
+
+def _cover3():
+    base = [(Fraction(0), Fraction(3, 10)),
+            (Fraction(2, 10), Fraction(55, 100)),
+            (Fraction(45, 100), Fraction(8, 10)),
+            (Fraction(7, 10), Fraction(1))]
+    return [Region.intervals(list(sub))
+            for sub in itertools.combinations(base, 3)]
+
+
+class TestSharedWeightEvaluations:
+    @pytest.mark.parametrize("case", ["degree2", "degree3"])
+    def test_compiled_evaluations_equal_distinct_weight_points(self, case):
+        if case == "degree2":
+            F = _degree2(Fraction(1, 3), Fraction(1, 4),
+                         Fraction(2, 3), Fraction(1, 4))
+            cover, npts = GOOD_COVER, 3
+        else:
+            ws = [mollifier(Fraction(c, 6), Fraction(1, 8)) for c in (1, 3, 5)]
+            F = MultilocalObs([MLTerm((U, U, U2), tuple(ws), 1)],
+                              Region.interval(0, 1))
+            cover, npts = _cover3(), 2
+        parts = weiss_decompose(F, cover)
+        weights = {id(w): w for p, _ in parts for t in p.terms
+                   for w in t.weights}
+        evals = []
+        for w in weights.values():
+            fn = w.node.scalar()
+            w.node._fn = lambda t, fn=fn, w=w: evals.append((id(w), t)) or fn(t)
+        rng = random.Random(13)
+        distinct = set()
+        for _ in range(npts):
+            pts = tuple(rng.uniform(0.1, 0.9) for _ in range(F.degrees()[-1]))
+            distinct.update((i, x) for i in weights for x in pts)
+            ref = symmetrized_kernel(F, pts, FIELDS)
+            got = sum(symmetrized_kernel(p, pts, FIELDS) for p, _ in parts)
+            assert abs(got - ref) < 1e-10
+        assert len(evals) == len(distinct) and set(evals) == distinct
+
+
+@st.composite
+def _grid_cases(draw):
+    """A hull, a refinement size n and a cover whose elements are unions of
+    up to three intervals, with ends on the refinement's grid or off it."""
+    lo = Fraction(draw(st.integers(-8, 8)), 8)
+    hi = lo + Fraction(draw(st.integers(1, 16)), 8)
+    n = draw(st.integers(4, 64))
+    half = (hi - lo) / (2 * n)
+    end = st.one_of(
+        st.integers(-2, 2 * n + 4).map(lambda j: lo + (2 * j - 1) * half),
+        st.integers(-200, 200).map(
+            lambda k: lo + (hi - lo) * Fraction(k, 97)))
+    ivs = st.lists(st.tuples(end, end).map(sorted), min_size=1, max_size=3)
+    cover = draw(st.lists(ivs.map(Region.intervals), min_size=1, max_size=5))
+    return lo, hi, n, cover
+
+
+class TestContainersInOnePass:
+    @settings(max_examples=200, deadline=None)
+    @given(_grid_cases())
+    def test_containers_equal_the_contains_region_loop(self, case):
+        lo, hi, n, cover = case
+        pairs = _refinement(lo, hi, n)
+        step = (hi - lo) / n
+        small = [Region.interval(lo + k * step - step / 2,
+                                 lo + (k + 1) * step + step / 2)
+                 for k in range(n)]
+        assert [Region.interval(a, b) for a, b in pairs] == small
+        assert containers(cover, pairs) == [
+            [j for j in range(len(cover)) if cover[j].contains_region(s)]
+            for s in small]
+
+
+class TestJetExprHash:
+    def test_hash_is_kept_and_stays_out_of_pickles(self):
+        J = U2 * U + U
+        h = hash(J)
+        assert hash(J) == h == hash((J.dim, J.expr))
+        assert J.__reduce__() == (JetExpr, (J.expr, J.dim))
+        twin = pickle.loads(pickle.dumps(J))
+        assert twin == J and hash(twin) == h

@@ -547,3 +547,80 @@ class TestExpInvTinyArgument:
         assert vals[0, 1] == s(0.5) == s.values(0.5, 1)[0]
         assert vals[1, 1] == s.values(0.5, 1)[1]
         assert s(1e-310) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Scalar calls: the memo of the last points
+# ---------------------------------------------------------------------------
+
+from bvfact.region import _Poly
+
+
+def _identity():
+    # t -> t, read from coefficients (-0.0, 1.0): -0.0 at -0.0 and 0.0 at
+    # 0.0, so a memo that takes one zero for the other returns the wrong sign
+    return Bump(_Poly([-0.0, 1.0]), Region.interval(-1, 1)), [-1, 1]
+
+
+_MEMO_POINTS = [0.0, -0.0, math.nan, 0.3, -0.3, 0.05, 1e9, -1e9, 0, 1,
+                np.float64(0.3), np.float64(-0.0)]
+
+
+class TestScalarMemo:
+    @settings(max_examples=80, deadline=None)
+    @given(_trees(st.one_of(_leaves(), st.builds(_identity))),
+           st.lists(st.integers(0, len(_MEMO_POINTS) + 5), min_size=1,
+                    max_size=6),
+           st.lists(st.integers(0, 5), min_size=1, max_size=20))
+    def test_every_call_equals_a_fresh_evaluation(self, tree, picks, order):
+        b, edges = tree
+        # fixed points, plus the support edges and points just inside them
+        pool = _MEMO_POINTS + [float(e) + o for e in edges[:3]
+                               for o in (0.0, 1e-3)]
+        pts = [pool[i % len(pool)] for i in picks]
+        # repeats and interleavings of a few points
+        for i in order:
+            t = pts[i % len(pts)]
+            got = _outcome(b, t)
+            assert got == _outcome(lambda x: b.node.scalar()(float(x)), t)
+            assert got == _outcome(lambda x: float(b.values(x)[0]), t)
+
+    def test_signed_zeros_are_different_points(self):
+        b, _ = _identity()
+        for t in (0.0, -0.0, 0.0, -0.0, 0, np.float64(-0.0)):
+            assert b(t).hex() == float(t).hex()
+
+    def test_nan_is_evaluated_every_time(self):
+        b, _ = _identity()
+        calls = []
+        fn = b.node.scalar()
+        b.node._fn = lambda t: calls.append(t) or fn(t)
+        for t in (math.nan, math.nan, 0.5, math.nan, 0.5):
+            assert b(t).hex() == t.hex()
+        assert len(calls) == 4
+
+    def test_a_call_that_raises_stores_nothing(self):
+        q = Bump(_Quot(_Const(1.0), mollifier(0, 1).node),
+                 Region.interval(-2, 2))
+        ok = q(0.5)
+        for _ in range(3):
+            with pytest.raises(ZeroDivisionError):
+                q(1.5)
+            assert q(0.5) == ok
+        with pytest.raises(ZeroDivisionError):
+            q(1.5)
+
+    def test_memo_holds_three_points(self):
+        b = mollifier(0, 1)
+        calls = []
+        fn = b.node.scalar()
+        b.node._fn = lambda t: calls.append(t) or fn(t)
+        for t in (0.1, 0.2, 0.3, 0.1, 0.2, 0.3, 0.4, 0.1):
+            assert b(t) == fn(t)
+        assert calls == [0.1, 0.2, 0.3, 0.4, 0.1]
+
+    def test_memo_stays_out_of_pickles(self):
+        b = mollifier(0, 1)
+        v = b(0.25)
+        assert "_last" not in pickle.loads(pickle.dumps(b)).__dict__
+        assert pickle.loads(pickle.dumps(b))(0.25) == v
