@@ -7,12 +7,9 @@ transforming by a gauge-fixing fermion produces a normally hyperbolic
 (Feynman-gauge) action with the same bracket structure.
 """
 
-import time
-
 from bvfact.bvalg import (su2_yang_mills, su2_gauge_fixing_fermion,
                           gauge_fix, check_cme, eliminate_b)
 
-t0 = time.time()
 L = su2_yang_mills()
 print("extended action: %d monomials" % len(L.density.expr.terms))
 
@@ -29,4 +26,3 @@ print("gauge-fixed master equation residual zero:", check_cme(Lgf).is_zero)
 Lb = eliminate_b(Lgf)
 print("after eliminating the auxiliary field: %d monomials"
       % len(Lb.density.expr.terms))
-print("elapsed: %.1fs" % (time.time() - t0))

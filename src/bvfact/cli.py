@@ -331,28 +331,9 @@ def _weiss(cfg, rng, orders, tol):
         # The decomposition regroups the weight functions; it is an identity
         # of integrands, so a sampled symmetrized-kernel comparison is an
         # exact roundtrip check without any quadrature.
-        from .jetcalc import _density_value
-
-        def kernel(obs, x, y):
-            tot = 0.0
-            for t in obs.terms:
-                c = t.coeff.coeffs.get((0, 0))
-                c = c.to_complex() if c is not None else 0
-                if not c:
-                    continue
-                a1 = _density_value(t.slots[0], x, fields) * t.weights[0](x)
-                b1 = _density_value(t.slots[1], y, fields) * t.weights[1](y)
-                a2 = _density_value(t.slots[0], y, fields) * t.weights[0](y)
-                b2 = _density_value(t.slots[1], x, fields) * t.weights[1](x)
-                tot += c * (a1 * b1 + a2 * b2)
-            return tot
-
-        err = 0.0
-        for _ in range(6):
-            x, y = rng.uniform(0, 1), rng.uniform(0, 1)
-            ref = kernel(F, x, y)
-            got = sum(kernel(p, x, y) for p, _ in parts)
-            err = max(err, abs(got - ref))
+        pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(6)]
+        got = sum(p.kernel(pts, fields) for p, _ in parts)
+        err = float(max(abs(got - F.kernel(pts, fields))))
         checks.append(_check("decomposition-roundtrip", err <= tol,
                              value=err, tolerance=tol))
         curves["pieces"] = {

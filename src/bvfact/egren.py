@@ -43,10 +43,6 @@ class RegressionError(Exception):
     """Scaled-pairing regression did not settle on a slope."""
 
 
-class ExtensionError(Exception):
-    """No extension procedure available (infinite scaling degree)."""
-
-
 # ---------------------------------------------------------------------------
 # Distributional kernels
 # ---------------------------------------------------------------------------
@@ -160,8 +156,6 @@ class ExtendedDist:
 
     def __init__(self, kernel: DistKernel, weights=None):
         sd = scaling_degree(kernel)
-        if sd is None:
-            raise ExtensionError("infinite scaling degree")
         self.kernel = kernel
         self.degree = sd
         self.order = math.floor(sd - 1)  # 1: the dimension of the line

@@ -11,8 +11,10 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
+
 from .symexpr import Expr, QI, FormalSeries, koszul_sign
-from .jetcalc import JetExpr, LagForm, evaluate_local
+from .jetcalc import JetExpr, LagForm, _density_value, evaluate_local
 from .region import Region, Bump, union_of
 
 
@@ -129,6 +131,36 @@ class MultilocalObs:
                 if v:
                     out[(p, q)] = out.get((p, q), 0) + v
         return {k: v for k, v in out.items() if v != 0}
+
+    def kernel(self, points, fields):
+        """The symmetrized integrand at each row of the (n, m) array
+        `points`, n complex values: the sum over terms of c * sum_perm prod_i
+        slot_i(x_perm(i)) * w_i(x_perm(i)), c the term's order-(0, 0)
+        coefficient.  Every term must have degree m; the constant part is
+        left out.  Each weight and slot is evaluated once per column."""
+        pts = np.asarray(points, dtype=float)
+        n, m = pts.shape
+        cols = {}
+
+        def col(f, j):
+            key = (id(f), j)
+            if key not in cols:
+                cols[key] = (f(pts[:, j]) if isinstance(f, Bump)
+                             else _density_value(f, pts[:, j], fields))
+            return cols[key]
+
+        tot = np.zeros(n, dtype=complex)
+        for t in self.terms:
+            if t.degree != m:
+                raise ValueError("term of degree %d at %d points"
+                                 % (t.degree, m))
+            c = t.coeff[0, 0].to_complex()
+            if c:
+                tot = tot + c * sum(
+                    math.prod(col(s, j) * col(w, j)
+                              for s, w, j in zip(t.slots, t.weights, perm))
+                    for perm in permutations(range(m)))
+        return tot
 
     def scalar(self, fields, tol=1e-10):
         """Numeric value when the series is concentrated at order (0,0)."""
@@ -268,8 +300,7 @@ def weiss_decompose(F: MultilocalObs, cover):
         assignment = _assign(F, psis, containers(cover, pairs), pieces)
         if assignment is not None:
             return assignment
-    # produce a witness: a tuple of small-interval midpoints with no common
-    # container (should not happen for a genuine Weiss cover)
+    # no witness: a Weiss cover fails here only below the finest refinement
     raise WeissDecompositionError("could not refine the partition of unity "
                                   "to fit the cover", witness=None)
 
@@ -340,7 +371,8 @@ def coproduct(alpha: JetExpr):
             right = Symbol("jet", s.name + "''", s.index, s.grade)
             table[s] = Expr.sym(left) + Expr.sym(right)
     split = alpha.expr.subs(table)
-    pairs = {}
+    # each monomial is its own (left, right) pair, with a nonzero coefficient
+    out = []
     for mono, c in split.terms.items():
         lmono, rmono = [], []
         sign = 1
@@ -350,22 +382,13 @@ def coproduct(alpha: JetExpr):
                 rmono.append((s, e))
                 if s.grade % 2:
                     odd_in_right += e
-            elif s.ns == "jet" and s.name.endswith("'"):
+            else:
                 lmono.append((s, e))
                 if s.grade % 2 and odd_in_right % 2:
                     sign = -sign
-            else:
-                lmono.append((s, e))
-        key = (tuple(lmono), tuple(rmono))
-        cur = pairs.get(key, QI.of(0))
-        pairs[key] = cur + (c if sign > 0 else QI.of(-1) * c)
-    out = []
-    for (lmono, rmono), c in pairs.items():
-        if c == QI.of(0):
-            continue
-        left = JetExpr(Expr.from_terms([(lmono, QI.of(1))]), dim)
-        right = JetExpr(Expr.from_terms([(rmono, QI.of(1))]), dim)
-        out.append((left, right, c))
+        left = JetExpr(Expr.from_terms([(tuple(lmono), QI.of(1))]), dim)
+        right = JetExpr(Expr.from_terms([(tuple(rmono), QI.of(1))]), dim)
+        out.append((left, right, c if sign > 0 else -c))
     return out
 
 

@@ -1,7 +1,7 @@
 """Regions of the time line, causal order, Weiss covers, bump functions.
 
 A region is a finite union of open intervals with rational ends, held in
-normal form: intervals sorted, and intervals that overlap or touch merged.
+normal form: intervals sorted, overlapping ones merged, touching ones apart.
 Queries read that form directly, and causal order and Weiss covers are
 decided exactly from the interval ends.
 
@@ -37,8 +37,8 @@ class Region:
     """Finite union of open intervals of the line, in normal form.
 
     `_ivs` holds the intervals (lo, hi), sorted, no two of them overlapping
-    or touching; so an interval inside the region lies inside one of them,
-    and the first and last give the hull.  No other module reads it.
+    (two may touch); so an interval inside the region lies inside one of
+    them, and the first and last give the hull.  No other module reads it.
     """
 
     __slots__ = ("_ivs",)
@@ -77,8 +77,8 @@ class Region:
         return any(lo < t < hi for lo, hi in self._ivs)
 
     def contains_region(self, other):
-        # no two intervals of the normal form touch, so an interval inside
-        # the union lies inside one of them
+        # the intervals of the normal form are disjoint and their ends lie
+        # outside the region, so an interval inside it lies inside one
         return all(any(lo <= a and b <= hi for lo, hi in self._ivs)
                    for a, b in other._ivs)
 
@@ -114,11 +114,12 @@ def union_of(regions):
     return Region([iv for R in regions for iv in R._ivs])
 
 
-def _merge_intervals(ivs):
+def _merge_intervals(ivs, closed=False):
+    """`ivs` sorted, overlapping ones merged, touching ones too if `closed`."""
     ivs = sorted(ivs)
     out = []
     for lo, hi in ivs:
-        if out and lo <= out[-1][1]:
+        if out and (lo < out[-1][1] or closed and lo == out[-1][1]):
             out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:
             out.append((lo, hi))
@@ -788,6 +789,6 @@ def _shrunk_covers(cover, closed_intervals, delta):
     # hi-delta] after the intervals that meet or touch are merged
     shrunk = _merge_intervals([(lo + delta, hi - delta) for V in cover
                                for lo, hi in V._ivs
-                               if hi - lo > 2 * delta])
+                               if hi - lo > 2 * delta], closed=True)
     return all(any(a <= lo and hi <= b for a, b in shrunk)
                for lo, hi in closed_intervals)

@@ -98,7 +98,8 @@ class TestCoproduct:
 
 def symmetrized_kernel(obs, pts, fields):
     """Pointwise value of the permutation-symmetrized integrand of a
-    homogeneous-degree observable at a tuple of points."""
+    homogeneous-degree observable at a tuple of points: the scalar reference
+    of `MultilocalObs.kernel`."""
     import itertools
     tot = 0.0
     for t in obs.terms:
@@ -386,3 +387,165 @@ class TestJetExprHash:
         assert J.__reduce__() == (JetExpr, (J.expr, J.dim))
         twin = pickle.loads(pickle.dumps(J))
         assert twin == J and hash(twin) == h
+
+
+# ---------------------------------------------------------------------------
+# The symmetrized kernel on arrays against the scalar loop
+# ---------------------------------------------------------------------------
+
+import numpy as np
+
+from bvfact.symexpr import FormalSeries
+
+UX = JetExpr.of(jet("u", (1,), 0), 1)
+_EVEN_SLOTS = [U, U2, UX, U * UX]
+
+
+def _rows(draw, weight_lists):
+    """One to three rows of points: each row puts its points, in some order,
+    inside the supports of one list of weights, so some term is nonzero
+    there."""
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        ws = draw(st.sampled_from(weight_lists))
+        row = []
+        for k in draw(st.permutations(range(len(ws)))):
+            lo, hi = ws[k].support.bounds()
+            step = Fraction(draw(st.integers(0, 64)), 64)
+            row.append(float(lo + (hi - lo) * step))
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def _observables(draw, degree):
+    """(F, rows): F has one or two input terms of `degree`, even slots,
+    mollifier weights whose closed supports lie inside (0, 1), and a series
+    coefficient with a complex order-(0, 0) part, possibly zero, and an hbar
+    part."""
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        ws = [mollifier(Fraction(draw(st.integers(5, 15)), 20),
+                        Fraction(draw(st.integers(1, 4)), 20))
+              for _ in range(degree)]
+        c00 = QI(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
+                 Fraction(draw(st.integers(-1, 1)), 2))
+        coeff = FormalSeries({(0, 0): c00, (1, 0): draw(st.integers(-2, 2))})
+        terms.append(MLTerm([draw(st.sampled_from(_EVEN_SLOTS))
+                             for _ in range(degree)], ws, coeff))
+    F = MultilocalObs(terms, Region.interval(0, 1))
+    return F, _rows(draw, [t.weights for t in terms])
+
+
+@st.composite
+def _pieces(draw):
+    """(piece, rows): a piece of the Weiss decomposition of the degree-1, 2
+    or 3 observable of the Weiss tests above, with rows of points inside
+    the supports of that observable's weights."""
+    degree = draw(st.integers(1, 3))
+    if degree == 3:
+        ws = [mollifier(Fraction(c, 6), Fraction(1, 8)) for c in (1, 3, 5)]
+        slots, cover = (U, U, U2), _cover3()
+    else:
+        ws = [mollifier(Fraction(1, 3), Fraction(1, 4)),
+              mollifier(Fraction(2, 3), Fraction(1, 4))][:degree]
+        slots, cover = (U2, U)[:degree], GOOD_COVER
+    F = MultilocalObs([MLTerm(slots, ws, 1)], Region.interval(0, 1))
+    parts = weiss_decompose(F, cover)
+    return draw(st.sampled_from(parts))[0], _rows(draw, [ws])
+
+
+def _assert_kernel_matches_reference(obs, rows):
+    got = obs.kernel(np.array(rows), FIELDS)
+    assert got.shape == (len(rows),)
+    for g, row in zip(got, rows):
+        ref = symmetrized_kernel(obs, tuple(row), FIELDS)
+        assert abs(g - ref) <= 1e-12 * (1 + abs(ref))
+
+
+class TestKernelOnArrays:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3).flatmap(_observables))
+    def test_kernel_equals_the_scalar_loop(self, case):
+        _assert_kernel_matches_reference(*case)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_pieces())
+    def test_pieces_kernels_equal_the_scalar_loop(self, case):
+        _assert_kernel_matches_reference(*case)
+
+    def test_a_term_of_another_degree_raises(self):
+        F, _ = make_FG()
+        with pytest.raises(ValueError):
+            F.kernel(np.array([[0.25, 0.75]]), FIELDS)
+
+
+# ---------------------------------------------------------------------------
+# Branches of mloc that the scenarios do not reach
+# ---------------------------------------------------------------------------
+
+from bvfact.jetcalc import testfn as tfn
+
+C = JetExpr.of(jet("c", (), 1), 1)
+D = JetExpr.of(jet("d", (), 1), 1)
+
+
+class TestGradedSlotSplit:
+    def test_mixed_grade_slot_splits_into_its_components(self):
+        w1 = mollifier(Fraction(1, 4), Fraction(1, 8))
+        w2 = mollifier(Fraction(3, 4), Fraction(1, 8))
+        whole = MultilocalObs([MLTerm((U + C, U), (w1, w2), 1)],
+                              Region.interval(0, 1))
+        split = MultilocalObs([MLTerm((U, U), (w1, w2), 1),
+                               MLTerm((C, U), (w1, w2), 1)],
+                              Region.interval(0, 1))
+        assert whole == split
+        assert len(whole.terms) == 4
+        assert all(len(t.slots[i].expr.terms) == 1
+                   for t in whole.terms for i in range(2))
+
+
+class TestOddCoproduct:
+    def test_recombination_with_odd_jets_and_a_test_function(self):
+        # f u c d: the odd jet c'' sorts before d', so a pair pays the
+        # Koszul sign of moving d' left of it; f is no jet and stays left
+        f = JetExpr.of(tfn("f"), 1)
+        alpha = f * U * C * D
+        pairs = coproduct(alpha)
+        assert len(pairs) == 8
+        left = {jet("u'", (), 0): Expr.sym(jet("a", (), 0)),
+                jet("c'", (), 1): Expr.sym(jet("p", (), 1)),
+                jet("d'", (), 1): Expr.sym(jet("q", (), 1))}
+        right = {jet("u''", (), 0): Expr.sym(jet("b", (), 0)),
+                 jet("c''", (), 1): Expr.sym(jet("r", (), 1)),
+                 jet("d''", (), 1): Expr.sym(jet("s", (), 1))}
+        direct = alpha.expr.subs(
+            {jet("u", (), 0): Expr.sym(jet("a", (), 0))
+             + Expr.sym(jet("b", (), 0)),
+             jet("c", (), 1): Expr.sym(jet("p", (), 1))
+             + Expr.sym(jet("r", (), 1)),
+             jet("d", (), 1): Expr.sym(jet("q", (), 1))
+             + Expr.sym(jet("s", (), 1))})
+        assert (coproduct_eval(pairs, left, right) - direct).is_zero()
+        assert any(c == QI.of(-1) for _, _, c in pairs)
+        assert all(tfn("f") in l.expr.symbols() for l, _, _ in pairs)
+
+
+class TestSupportErrors:
+    def test_extend_into_a_region_that_misses_the_source(self):
+        F, _ = make_FG()
+        with pytest.raises(SupportError):
+            extend(F, Region.interval(Fraction(1, 4), 2))
+
+    def test_structure_map_rejects_bad_parts(self):
+        F, G = make_FG()
+        W = Region.interval(-2, 2)
+        pf = (F, Region.interval(0, Fraction(1, 2)))
+        with pytest.raises(SupportError, match="inside the target"):
+            structure_map([pf], Region.interval(0, Fraction(1, 4)))
+        with pytest.raises(SupportError, match="supported in its region"):
+            structure_map([(F, Region.interval(0, Fraction(1, 4)))], W)
+        with pytest.raises(SupportError, match="overlap"):
+            structure_map([pf, (G, Region.interval(Fraction(1, 4), 1))], W)
+        with pytest.raises(ValueError, match="at least one part"):
+            structure_map([], W)

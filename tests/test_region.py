@@ -441,19 +441,14 @@ def _raw_intervals(draw):
 # ends, the even ones are ends; a region whose ends are on the grid of
 # eighths is fixed by which probes it contains
 _PROBES = [Fraction(k, 16) for k in range(-34, 35)]
-_CELL = Fraction(1, 32)
 
 
-# References computed from the raw intervals alone.  A region is the
-# interior of the closure of their union (intervals that touch merge), so a
-# probe lies in it iff the cells on both sides of it meet an interval.
-
-def _in_raw(ivs, x):
-    return any(lo < x < hi for lo, hi in ivs)
-
+# References computed from the raw intervals alone.  A region is the union
+# of the open intervals (a common end of two that touch is not in it), so a
+# probe lies in it iff it lies in one of them.
 
 def _ref_contains_point(ivs, x):
-    return _in_raw(ivs, x - _CELL) and _in_raw(ivs, x + _CELL)
+    return any(lo < x < hi for lo, hi in ivs)
 
 
 def _ref_contains_region(ivs_a, ivs_b):
@@ -488,8 +483,8 @@ def _ref_union_fold(regions):
 def _assert_normal(R):
     ivs = R._ivs
     assert all(lo < hi for lo, hi in ivs)
-    # sorted, and no two overlapping or touching
-    assert all(h1 < l2 for (_, h1), (l2, _) in zip(ivs, ivs[1:]))
+    # sorted, and no two overlapping
+    assert all(h1 <= l2 for (_, h1), (l2, _) in zip(ivs, ivs[1:]))
 
 
 class TestNormalFormQueries:
@@ -624,3 +619,49 @@ class TestScalarMemo:
         v = b(0.25)
         assert "_last" not in pickle.loads(pickle.dumps(b)).__dict__
         assert pickle.loads(pickle.dumps(b))(0.25) == v
+
+
+# ---------------------------------------------------------------------------
+# Open intervals that only touch stay apart: their common end is not a point
+# of the region
+# ---------------------------------------------------------------------------
+
+_HALF = Fraction(1, 2)
+_SPLIT = Region.intervals([(0, _HALF), (_HALF, 1)])
+
+
+class TestTouchingIntervals:
+    def test_the_common_end_is_not_in_the_region(self):
+        assert not _SPLIT.contains_point(_HALF)
+        assert _SPLIT.contains_point(Fraction(1, 4))
+        assert _SPLIT.contains_point(Fraction(3, 4))
+        assert _SPLIT != Region.interval(0, 1)
+        assert not _SPLIT.contains_region(Region.interval(Fraction(1, 4),
+                                                          Fraction(3, 4)))
+        assert _SPLIT.bounds() == (0, 1)
+
+    def test_a_union_of_touching_regions_keeps_them_apart(self):
+        R = Region.interval(0, _HALF).union(Region.interval(_HALF, 1))
+        assert R == _SPLIT and not R.contains_point(_HALF)
+        assert union_of([Region.interval(0, _HALF),
+                         Region.interval(_HALF, 1)]) == _SPLIT
+
+    def test_no_weiss_cover_across_the_common_end(self):
+        rep = is_weiss_cover([_SPLIT], Region.interval(Fraction(1, 8),
+                                                       Fraction(7, 8)), 2)
+        assert not rep.ok
+        assert 0.5 in rep.witness
+
+    def test_no_partition_of_unity_across_the_common_end(self):
+        with pytest.raises(CoverError):
+            partition_of_unity([_SPLIT], Region.interval(Fraction(1, 8),
+                                                         Fraction(7, 8)))
+
+    def test_a_partition_of_unity_vanishes_at_the_common_end(self):
+        compact = Region.intervals([(Fraction(1, 8), Fraction(3, 8)),
+                                    (Fraction(5, 8), Fraction(7, 8))])
+        psi, = partition_of_unity([_SPLIT], compact)
+        assert _SPLIT.contains_region(psi.support)
+        assert psi(0.5) == 0.0
+        for t in (0.125, 0.25, 0.375, 0.625, 0.75, 0.875):
+            assert abs(psi(t) - 1.0) < 1e-12
