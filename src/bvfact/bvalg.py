@@ -95,13 +95,9 @@ def smeared_field(content, name, tf_name, region, sample=None, dim=1, mu=()):
 # ---------------------------------------------------------------------------
 
 def antibracket_density(content, a: JetExpr, b: JetExpr) -> JetExpr:
-    dim = a.dim
-    fields_r = [(name, content.grade(name)) for name in
-                [n for n, _ in content.fields] +
-                [antifield_name(n) for n, _ in content.fields]]
-    er_a = euler_lagrange_density(a, fields_r, right=True)
-    el_b = euler_lagrange_density(b, fields_r, right=False)
-    out = JetExpr.const(0, dim)
+    er_a = euler_lagrange_density(a, right=True)
+    el_b = euler_lagrange_density(b)
+    out = JetExpr.const(0, a.dim)
     for name, _ in content.fields:
         gf = content.grade(name)
         ga = content.grade(antifield_name(name))

@@ -121,8 +121,9 @@ def green(model: OscillatorModel, kind: str) -> PropagatorKernel:
 _KINKED = {"retarded": 1, "advanced": -1, "feynman": 0}
 
 
-def pair_kernel(kernel, f: Bump, g: Bump, tol=1e-10, fderiv=0, gderiv=0):
-    """<f^(a) (x) g^(b), K> = int f^(a)(t) K(t,s) g^(b)(s) dt ds.
+def pair_kernel(kernel, f: Bump, g: Bump, tol=1e-10):
+    """<f (x) g, K> = int f(t) K(t,s) g(s) dt ds; pass `f.d(a)` to pair a
+    derivative.
 
     A fixed-rule tensor quadrature (`bvfact.quadrature`) on supp f x supp g,
     with the s-interval cut at s = t for kernels with a kink at 0, or ended
@@ -130,8 +131,7 @@ def pair_kernel(kernel, f: Bump, g: Bump, tol=1e-10, fderiv=0, gderiv=0):
     if successive rules do not agree within max(tol, tol * |value|) before
     the node cap.
     """
-    return _pair(kernel, f, g, tol, lambda t: f.deriv(t, fderiv),
-                 lambda s: g.deriv(s, gderiv))
+    return _pair(kernel, f, g, tol, f, g)
 
 
 def _pair(kernel, f, g, tol, ft, gs):

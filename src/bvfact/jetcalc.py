@@ -5,7 +5,8 @@ Symbols live in three namespaces:
   * "jet"  field jet coordinates u^a_mu (field label a, derivative
            multi-index mu, carrying the grade of field a)
   * "tf"   test-function jets w^j_mu (grade 0; prolonged by the total
-           derivative but never varied by Euler-Lagrange operators)
+           derivative, and varied as fields only by the exactness test
+           and the homotopy primitive)
 
 A LagForm of degree p stores one JetExpr per strictly increasing p-tuple of
 base indices; antisymmetry is absorbed into the sorted keys.
@@ -230,13 +231,12 @@ def horizontal_diff(omega: LagForm) -> LagForm:
                    {k: v for k, v in acc.items() if v})
 
 
-def euler_lagrange(L: LagForm, field_symbols=None):
+def euler_lagrange(L: LagForm):
     """Left Euler-Lagrange operator of a top-degree form, one JetExpr per
     field label: E_a = sum_mu (-1)^{|mu|} D_mu (dL/du^a_mu)."""
     if L.degree != L.dim:
         raise ValueError("euler_lagrange needs a top-degree form")
-    density = L.component(tuple(range(L.dim)))
-    return euler_lagrange_density(density, field_symbols)
+    return euler_lagrange_density(L.component(tuple(range(L.dim))))
 
 
 def _horner(parts, n, label, eta=None, lead=()):
@@ -248,7 +248,7 @@ def _horner(parts, n, label, eta=None, lead=()):
     (lead, m), one axis further in.  So axis 0 is outermost, and in dim 1 a
     field costs max K total derivatives, not sum K.  With `eta`, each step
     also adds u_(lead, m) R_{m+1} to eta[i], u on the left: the homotopy
-    operator.
+    operator, with u the symbol of `label` = (namespace, name, grade).
     """
     i = len(lead)
     if i == n:
@@ -259,7 +259,7 @@ def _horner(parts, n, label, eta=None, lead=()):
         q = _horner(sub, n, label, eta, lead + (m,)) if sub else None
         if r is not None:
             if eta is not None:
-                u = jet(label[0], lead + (m,), label[1])
+                u = Symbol(label[0], label[1], _trim(lead + (m,)), label[2])
                 eta[i] = eta[i] + Expr.sym(u) * r.expr
             dr = total_derivative(r, i)
             q = -dr if q is None else q - dr
@@ -267,63 +267,33 @@ def _horner(parts, n, label, eta=None, lead=()):
     return r
 
 
-def _euler_operator(expr: Expr, n, right=False, eta=None):
-    """sum_K (-D)^K dL/du^a_K per field label a = (name, grade) of the jet
-    symbols in `expr`, from left (or right) partials; see `_horner`."""
+def _euler_operator(expr: Expr, n, vary_tests=False, right=False, eta=None):
+    """sum_K (-D)^K dL/du^a_K per label a = (namespace, name, grade) of the
+    jet symbols in `expr`, and of its test-function symbols too when
+    `vary_tests`, from left (or right) partials; see `_horner`."""
     parts = {}
     for s in expr.symbols():
-        if s.ns == "jet":
+        if s.ns == "jet" or vary_tests and s.ns == "tf":
             partial = expr.dright(s) if right else expr.dleft(s)
-            parts.setdefault((s.name, s.grade), {})[_pad(s.index, n)] = \
+            parts.setdefault((s.ns, s.name, s.grade), {})[_pad(s.index, n)] = \
                 JetExpr(partial, n)
     return {label: _horner(p, n, label, eta) for label, p in parts.items()}
 
 
-def euler_lagrange_density(density: JetExpr, field_symbols=None, right=False):
-    """EL derivatives of a density; returns dict (name, grade) -> JetExpr,
-    zero for the labels in `field_symbols` that the density lacks."""
-    out = _euler_operator(density.expr, density.dim, right)
-    for name, grade in field_symbols or ():
-        out.setdefault((name, grade), JetExpr.const(0, density.dim))
-    return dict(sorted(out.items()))
+def euler_lagrange_density(density: JetExpr, right=False):
+    """EL derivatives of a density with respect to its fields; returns dict
+    (name, grade) -> JetExpr over the field labels the density holds."""
+    out = _euler_operator(density.expr, density.dim, right=right)
+    return {(name, grade): v for (_, name, grade), v in sorted(out.items())}
 
 
 def is_total_divergence(density: JetExpr) -> bool:
-    """Exact test: a polynomial density with no purely-base part is a total
-    divergence iff all EL derivatives (including ones with respect to
-    test-function symbols) vanish.
-
-    Test-function symbols are temporarily treated as fields for this check.
-    """
-    if density.is_zero():
-        return True
-    # purely-base (field- and test-independent) part must vanish
-    for mono, c in density.expr.terms.items():
-        if all(s.ns == "x" for s, _ in mono):
-            return False
-    promoted = _promote_test_symbols(density)
-    els = euler_lagrange_density(promoted)
+    """Exact test: a polynomial density is a total divergence iff every
+    Euler-Lagrange derivative, with respect to its fields and its
+    test-function symbols alike, vanishes.  A density of the base
+    coordinates alone is one (it is D_0 of its x_0-integral)."""
+    els = _euler_operator(density.expr, density.dim, vary_tests=True)
     return all(v.is_zero() for v in els.values())
-
-
-_TF_PREFIX = "@tf:"
-
-
-def _promote_test_symbols(density: JetExpr) -> JetExpr:
-    table = {}
-    for s in density.expr.symbols():
-        if s.ns == "tf":
-            table[s] = Expr.sym(Symbol("jet", _TF_PREFIX + s.name, s.index, 0))
-    return JetExpr(density.expr.subs(table), density.dim)
-
-
-def _demote_test_symbols(expr: Expr) -> Expr:
-    """Inverse of _promote_test_symbols."""
-    table = {}
-    for s in expr.symbols():
-        if s.ns == "jet" and s.name.startswith(_TF_PREFIX):
-            table[s] = Expr.sym(testfn(s.name[len(_TF_PREFIX):], s.index))
-    return expr.subs(table) if table else expr
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +321,11 @@ def homotopy_primitive(omega: LagForm, check: bool = True):
     p = 0: a closed 0-form is a constant c; eta = 0 and the obstruction is c.
     Otherwise the obstruction is 0.
 
-    p = n: omega = L dx_0^...^dx_{n-1}.  Test-function symbols are treated
-    as fields (as in is_total_divergence), so L is exact iff every
+    p = n: omega = L dx_0^...^dx_{n-1}.  Test-function symbols are varied
+    as fields are (as in is_total_divergence), so L is exact iff every
     Euler-Lagrange derivative of L vanishes; otherwise ExactnessDefect
-    carries the nonzero ones (a test function w under the label "@tf:w").
+    carries the nonzero ones, keyed by (namespace, name, grade): a test
+    function w reads ("tf", "w", 0).
     The primitive is the closed-form homotopy operator of the variational
     bicomplex (Olver, Applications of Lie Groups to Differential Equations,
     sec. 5.4), evaluated without a lambda-integral.  Scale the part of field
@@ -393,7 +364,7 @@ def homotopy_primitive(omega: LagForm, check: bool = True):
                 raise NotClosedError(d)
         raise NotImplementedError(
             "homotopy primitives of %d-forms in dimension %d" % (p, n))
-    density = _promote_test_symbols(omega.component(tuple(range(n))))
+    density = omega.component(tuple(range(n)))
     # each monomial of field degree d >= 1 scaled by 1/d; degree 0 kept apart
     scaled, base = {}, {}
     for mono, c in density.expr.terms.items():
@@ -409,14 +380,13 @@ def homotopy_primitive(omega: LagForm, check: bool = True):
         a = dict(mono).get(x0, 0)
         eta[0] = eta[0] + Expr({mono: c / (a + 1)}) * Expr.sym(x0)
     # R_0 = sum_d E(L_d) / d is 0 iff E(L) is, as E lowers the degree by 1
-    r0 = _euler_operator(scaled, n, eta=eta)
+    r0 = _euler_operator(scaled, n, vary_tests=True, eta=eta)
     if not all(r.is_zero() for r in r0.values()):
-        els = euler_lagrange_density(density)
-        raise ExactnessDefect({k: v for k, v in els.items()
+        els = _euler_operator(density.expr, n, vary_tests=True)
+        raise ExactnessDefect({k: v for k, v in sorted(els.items())
                                if not v.is_zero()})
     comps = {}
     for i, e in enumerate(eta):
-        e = _demote_test_symbols(e)
         comps[tuple(j for j in range(n) if j != i)] = -e if i % 2 else e
     return LagForm(n - 1, n, comps), QI(0)
 

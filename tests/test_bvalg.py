@@ -116,6 +116,41 @@ class TestMasterEquation:
         assert (gauge_fix(L, Z).density - L.density).is_zero()
 
 
+class TestEliminateB:
+    CONTENT = FieldContent([("u", 0), ("b_1", 0)])
+
+    def _sym(self, name, mu=()):
+        return JetExpr.of(self.CONTENT.sym(name, mu), 1)
+
+    def test_square_completed(self):
+        b, u = self._sym("b_1"), self._sym("u")
+        got = eliminate_b(GenLagrangian(b * b + b * u, self.CONTENT, ()))
+        assert got.density == JetExpr.of(QI(Fraction(-1, 4)), 1) * u * u
+
+    @pytest.mark.parametrize("a", [QI(3), QI(Fraction(-1, 2)), QI(1, 2)])
+    def test_quadratic_in_b_gives_r_minus_x2_over_4a(self, a):
+        # f (a b^2 + b X + R) with f == 1, X and R free of b
+        b, u, ut = self._sym("b_1"), self._sym("u"), self._sym("u", (1,))
+        f = JetExpr.of(tfn("f"), 1)
+        X = JetExpr.of(2, 1) * ut + u * u
+        R = ut * ut - u
+        L = GenLagrangian(f * (JetExpr.of(a, 1) * b * b + b * X + R),
+                          self.CONTENT, ("f",))
+        got = eliminate_b(L).density
+        assert got == R - JetExpr.of(QI(1) / (QI(4) * a), 1) * X * X
+
+    def test_no_b_left_in_gauge_fixed_yang_mills(self):
+        L = eliminate_b(gauge_fix(su2_yang_mills(),
+                                  su2_gauge_fixing_fermion()))
+        assert not [s for s in L.density.expr.symbols()
+                    if s.ns == "jet" and s.name.startswith("b_")]
+
+    def test_field_dependent_quadratic_coefficient_raises(self):
+        b, u = self._sym("b_1"), self._sym("u")
+        with pytest.raises(ValueError, match="b_1"):
+            eliminate_b(GenLagrangian(u * b * b, self.CONTENT, ()))
+
+
 class TestClassicalDifferential:
     def test_equation_of_motion(self):
         S0 = free_scalar(omega=1)

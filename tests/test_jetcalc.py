@@ -54,6 +54,12 @@ class TestTotalDerivative:
         rhs = total_derivative(c1, 0) * c2 + c1 * total_derivative(c2, 0)
         assert (lhs - rhs).is_zero()
 
+    def test_base_index_out_of_range(self):
+        f = JetExpr.of(jet("u"), 2)
+        for i in (-1, 2):
+            with pytest.raises(IndexError):
+                total_derivative(f, i)
+
     def test_commutativity_dim2(self):
         rng = random.Random(1)
         for _ in range(30):
@@ -64,6 +70,18 @@ class TestTotalDerivative:
 
 
 class TestFormComplex:
+    def test_degree_and_keys_checked(self):
+        u = JetExpr.of(jet("u"), 2)
+        with pytest.raises(ValueError, match="degree"):
+            LagForm(3, 2)
+        for key in ((1, 0), (0, 0), (0,)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                LagForm(2, 2, {key: u})
+
+    def test_euler_lagrange_needs_a_top_form(self):
+        with pytest.raises(ValueError, match="top-degree"):
+            euler_lagrange(LagForm(0, 1, {(): JetExpr.of(jet("u"), 1)}))
+
     def test_d_squared_zero(self):
         rng = random.Random(2)
         for _ in range(30):
@@ -114,6 +132,9 @@ class TestHomotopyPrimitive:
         u = JetExpr.of(jet("u", (), 0), 1)
         with pytest.raises(NotClosedError):
             homotopy_primitive(LagForm(0, 1, {(): u}))
+        # unchecked, a 0-form that is not a constant is still refused
+        with pytest.raises(NotClosedError):
+            homotopy_primitive(LagForm(0, 1, {(): u + 1}), check=False)
 
     @staticmethod
     def _random_mixed(rng, dim):
@@ -204,6 +225,35 @@ class TestEvaluateLocal:
         with pytest.raises(NotImplementedError):
             evaluate_local(LagForm.top(u, 2), w, {"u": Poly1D([1])})
 
+    def test_base_coordinate_is_the_point(self):
+        # int t u w with u = 2 on supp w = (0, 1)
+        from scipy.integrate import quad
+        x0 = JetExpr.of(xsym(0), 1)
+        u = JetExpr.of(jet("u"), 1)
+        w = mollifier(Fraction(1, 2), Fraction(1, 2))
+        got = evaluate_local(LagForm.top(x0 * u, 1), w, {"u": Poly1D([2.0])})
+        want, _ = quad(lambda t: 2 * t * w(t), 0, 1,
+                       epsabs=1e-12, epsrel=1e-12)
+        assert abs(got - want) < 1e-10
+
+    def test_field_without_sample_raises_naming_it(self):
+        uv = JetExpr.of(jet("u"), 1) * JetExpr.of(jet("v"), 1)
+        w = mollifier(0, Fraction(1, 2))
+        with pytest.raises(KeyError, match="field 'v'"):
+            evaluate_local(LagForm.top(uv, 1), w, {"u": Poly1D([1])})
+
+    def test_non_top_form_raises(self):
+        u = JetExpr.of(jet("u"), 1)
+        w = mollifier(0, Fraction(1, 2))
+        with pytest.raises(ValueError, match="top-degree"):
+            evaluate_local(LagForm(0, 1, {(): u}), w, {"u": Poly1D([1])})
+
+    def test_weight_of_empty_support_gives_zero(self):
+        u = JetExpr.of(jet("u"), 1)
+        w = mollifier(0, Fraction(1, 4)) * mollifier(1, Fraction(1, 4))
+        assert w.support.bounds() is None
+        assert evaluate_local(LagForm.top(u, 1), w, {"u": Poly1D([1])}) == 0.0
+
     def test_test_function_symbol_raises_naming_it(self):
         u = JetExpr.of(jet("u", (), 0), 1)
         f = JetExpr.of(tfn("f", ()), 1)
@@ -218,6 +268,12 @@ class TestTextRoundtrip:
             je = parse_jetexpr(text)
             je2 = parse_jetexpr(jetexpr_to_text(je))
             assert (je - je2).is_zero()
+
+    def test_testnames_become_test_functions(self):
+        got = parse_jetexpr("f*u.d[1] + f.d[2]", testnames=["f"])
+        f = JetExpr.of(tfn("f"), 1)
+        assert got == f * JetExpr.of(jet("u", (1,)), 1) + \
+            JetExpr.of(tfn("f", (2,)), 1)
 
     def test_trailing_zero_indices(self):
         # u.d[1,0] and u.d[1] both name d_0 u
@@ -336,10 +392,10 @@ def _el_per_symbol(density, right=False):
 
 def _eta_by_lowering(omega):
     """The homotopy primitive's components by integrating each s_K P by
-    parts, lowering the last nonzero entry of K first."""
-    from bvfact.jetcalc import _demote_test_symbols, _promote_test_symbols
+    parts, lowering the last nonzero entry of K first; test-function
+    symbols are varied as fields are."""
     n = omega.dim
-    density = _promote_test_symbols(omega.component(tuple(range(n))))
+    density = omega.component(tuple(range(n)))
     scaled, base = {}, {}
     for mono, c in density.expr.terms.items():
         d = sum(e for s, e in mono if s.ns != "x")
@@ -360,11 +416,11 @@ def _eta_by_lowering(omega):
         while any(mu):
             i = max(j for j, k in enumerate(mu) if k)
             mu[i] -= 1
-            eta[i] = eta[i] + Expr.sym(jet(s.name, mu, s.grade)) * q.expr
+            u = jet(s.name, mu, s.grade) if s.ns == "jet" else tfn(s.name, mu)
+            eta[i] = eta[i] + Expr.sym(u) * q.expr
             q = -total_derivative(q, i)
     comps = {}
     for i, e in enumerate(eta):
-        e = _demote_test_symbols(e)
         comps[tuple(j for j in range(n) if j != i)] = -e if i % 2 else e
     return LagForm(n - 1, n, comps)
 
@@ -405,15 +461,60 @@ def _divergence(draw):
     return LagForm.top(div, dim)
 
 
+@st.composite
+def _divergence_plus_base(draw):
+    """D(P) as `_divergence` draws it, plus a polynomial in the base
+    coordinates alone."""
+    omega = draw(_divergence())
+    n = omega.dim
+    p = Expr.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        m = Expr.const(QI(draw(st.integers(-3, 3)), draw(st.integers(-2, 2))))
+        for j in range(n):
+            m = m * Expr.sym(xsym(j)) ** draw(st.integers(0, 2))
+        p = p + m
+    return LagForm.top(omega.component(tuple(range(n))) + JetExpr(p, n), n)
+
+
+class TestExactnessDecision:
+    """`is_total_divergence` and `homotopy_primitive` make one decision:
+    every Euler-Lagrange class over fields and test functions vanishes."""
+
+    @pytest.mark.parametrize("density", [JetExpr.const(1, 1),
+                                         JetExpr.of(xsym(0), 1)])
+    def test_base_coordinates_alone_are_exact(self, density):
+        omega = LagForm.top(density, 1)
+        eta, obstruction = homotopy_primitive(omega)
+        assert not obstruction and horizontal_diff(eta) == omega
+        assert is_total_divergence(density)
+
+    @given(_divergence_plus_base())
+    @settings(max_examples=60, deadline=None)
+    def test_divergence_plus_base_polynomial(self, omega):
+        assert is_total_divergence(omega.component(tuple(range(omega.dim))))
+        eta, obstruction = homotopy_primitive(omega)
+        assert not obstruction
+        assert horizontal_diff(eta) == omega
+
+    @given(_el_case())
+    @settings(max_examples=80, deadline=None)
+    def test_decision_agrees_with_primitive(self, L):
+        try:
+            homotopy_primitive(LagForm.top(L, L.dim))
+        except ExactnessDefect:
+            assert not is_total_divergence(L)
+        else:
+            assert is_total_divergence(L)
+
+
 class TestHornerEulerOperator:
     @given(_el_case())
     @settings(max_examples=80, deadline=None)
     def test_el_equals_per_symbol_sum(self, L):
         for right in (False, True):
-            got = euler_lagrange_density(L, [("z", 0)], right=right)
-            ref = _el_per_symbol(L, right)
+            got = euler_lagrange_density(L, right=right)
             assert {k: v.expr for k, v in got.items()} == \
-                {**ref, ("z", 0): Expr.zero()}
+                _el_per_symbol(L, right)
             assert list(got) == sorted(got)
 
     @given(_divergence())
@@ -464,14 +565,14 @@ class TestHomotopyExactnessCheck:
         assert horizontal_diff(eta) == omega
 
     def test_defect_lists_the_euler_lagrange_classes(self):
-        from bvfact.jetcalc import _promote_test_symbols
+        # w u^2 + u_t^2: E_u = 2 w u - 2 u_tt and E_w = u^2
         u = JetExpr.of(jet("u", (), 0), 1)
         ut = JetExpr.of(jet("u", (1,), 0), 1)
+        utt = JetExpr.of(jet("u", (2,), 0), 1)
         w = JetExpr.of(tfn("w", ()), 1)
         with pytest.raises(ExactnessDefect) as info:
             homotopy_primitive(LagForm.top(w * u * u + ut * ut, 1))
         got = info.value.el_classes
-        want = euler_lagrange_density(
-            _promote_test_symbols(w * u * u + ut * ut))
-        assert list(got) == [k for k, v in want.items() if not v.is_zero()]
-        assert all((got[k].expr - want[k].expr).is_zero() for k in got)
+        assert list(got) == [("jet", "u", 0), ("tf", "w", 0)]
+        assert got[("jet", "u", 0)] == 2 * w * u - 2 * utt
+        assert got[("tf", "w", 0)] == u * u

@@ -407,7 +407,7 @@ class TestCausalPairings:
         ra = []
         for kind in ("retarded", "advanced"):
             k = green(model, kind)
-            v = pair_kernel(k, f, g, fderiv=fderiv)
+            v = pair_kernel(k, f.d(fderiv), g)
             assert abs(v - _two_sided_pairing(k, f, g, 1e-10, fderiv)) \
                 < 1e-10
             ra.append(v)
@@ -424,7 +424,7 @@ class TestCausalPairings:
         model = OscillatorModel(1)
         assert pair_kernel(green(model, "retarded"), f, g) == 0.0
         assert pair_kernel(green(model, "advanced"), g, f) == 0.0
-        assert pair_kernel(green(model, "retarded"), f, g, fderiv=2) == 0.0
+        assert pair_kernel(green(model, "retarded"), f.d(2), g) == 0.0
         assert pair_kernel(green(model, "advanced"), f, g) != 0.0
 
     @pytest.mark.parametrize("kind", ["retarded", "advanced"])
