@@ -18,11 +18,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .symexpr import Expr, QI, I, koszul_sign
+from .symexpr import Expr, QI, I, koszul_sign, _add_into, _sub_into
 from .jetcalc import (JetExpr, jet, testfn, total_derivative,
                       euler_lagrange_density, is_total_divergence)
-from .region import Region
+
+if TYPE_CHECKING:
+    # an annotation only: importing region would load numpy
+    from .region import Region
 
 
 AF_SUFFIX = "~"
@@ -190,9 +194,32 @@ class CMEReport:
 def check_cme(L: GenLagrangian) -> CMEReport:
     """residual = (1/2){L(f), L(f)} as a density, reduced by the cutoff
     convention (unit_on test functions equal 1 on the support of the rest)
-    and tested for vanishing modulo total divergences."""
-    br = antibracket_density(L.content, L.density, L.density)
-    half = JetExpr.of(Fraction(1, 2), L.dim) * br
+    and tested for vanishing modulo total divergences.
+
+    A BV action is even, and for an even density S the right and left
+    Euler-Lagrange derivatives differ by E^R_a(S) = (-1)^|a| E^L_a(S).  As
+    |a| + |a~| = 1, the two halves of each pair in {S, S} are then equal,
+    and (1/2){S, S} = sum over fields phi of (-1)^|phi| E^L_phi E^L_phi~:
+    one left Euler-Lagrange run and half of the products, summed into one
+    dict.  A monomial of odd grade raises ValueError.
+    """
+    for mono, c in L.density.expr.terms.items():
+        if L.density.expr.grade_of_monomial(mono) % 2:
+            raise ValueError("CME of an odd density: the monomial %r has odd "
+                             "grade" % (Expr({mono: c}),))
+    el = euler_lagrange_density(L.density)
+    acc = {}
+    for name, gf in L.content.fields:
+        af = antifield_name(name)
+        e_phi = el.get((name, gf))
+        e_af = el.get((af, L.content.grade(af)))
+        if e_phi is not None and e_af is not None:
+            prod = (e_phi.expr * e_af.expr).terms
+            if gf % 2:
+                _sub_into(acc, prod)
+            else:
+                _add_into(acc, prod)
+    half = JetExpr(Expr(acc), L.dim)
     active = tuple(n for n in L.testnames if n not in L.unit_on) or None
     red = reduce_cutoff(half, L.unit_on, active)
     return CMEReport(red, is_total_divergence(red))
@@ -371,6 +398,12 @@ def eliminate_b(L: GenLagrangian) -> GenLagrangian:
     giving the constant-coefficient local form used for principal-part
     analysis."""
     density = reduce_cutoff(L.density, L.testnames).expr
+    bnames = {name for name, _ in L.content.fields if name.startswith("b_")}
+    for s in sorted(density.symbols()):
+        if s.ns == "jet" and s.name in bnames and s.index:
+            raise ValueError("cannot eliminate %s: its derivative %r occurs, "
+                             "so its equation of motion is not algebraic"
+                             % (s.name, s))
     for name, grade in L.content.fields:
         if not name.startswith("b_"):
             continue

@@ -36,7 +36,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .region import Region, Bump, mollifier, is_weiss_cover
+# `region` (and with it numpy) is imported by the suites that use it, so
+# the exact suites load no numpy
 from .symexpr import Expr, QI, FormalSeries
 
 SUITES = {}
@@ -81,7 +82,9 @@ def cfg_bool(cfg, key, default):
     return cfg[key].lower() in ("1", "true", "yes", "on")
 
 
-def parse_region(text) -> Region:
+def parse_region(text):
+    """A region literal as a `region.Region`."""
+    from .region import Region
     iv = []
     for part in text.split(";"):
         a, b = part.split(",")
@@ -93,7 +96,9 @@ def parse_cover(text):
     return [parse_region(p) for p in text.split("|")]
 
 
-def parse_weight(text) -> Bump:
+def parse_weight(text):
+    """A weight literal as a `region.Bump`."""
+    from .region import mollifier
     text = text.strip()
     if not (text.startswith("mollifier(") and text.endswith(")")):
         raise ValueError("weight literal must be mollifier(center, radius)")
@@ -309,6 +314,7 @@ def _weiss(cfg, rng, orders, tol):
     from .mloc import (MLTerm, MultilocalObs, weiss_decompose,
                        WeissDecompositionError)
     from .numfields import Poly1D
+    from .region import is_weiss_cover
 
     domain = parse_region(cfg.get("domain", "0, 1"))
     cover = parse_cover(cfg.get(
@@ -353,6 +359,7 @@ def _weiss(cfg, rng, orders, tol):
 def _freeq_suite(cfg, rng, orders, tol):
     """Keys: omega (default 1), positivity_samples (default 6)."""
     from . import freeq
+    from .region import mollifier
     from .freeq import (OscillatorModel, green, field_obs, star, unit,
                         peierls, tmap, tmap_inv, shat0, eval_poly)
     from .numfields import Poly1D
@@ -429,6 +436,7 @@ def _freeq_suite(cfg, rng, orders, tol):
 @_suite("causal-factorization")
 def _causal(cfg, rng, orders, tol):
     """Keys: omega (default 1), pairs (default 3)."""
+    from .region import mollifier
     from .freeq import (OscillatorModel, field_obs, causal_check)
     from .numfields import Poly1D
 
@@ -457,6 +465,7 @@ def _causal(cfg, rng, orders, tol):
 @_suite("eg-extend")
 def _eg(cfg, rng, orders, tol):
     """Keys: none required."""
+    from .region import mollifier
     from .egren import (theta_power, smooth_kernel, scaling_degree, extend,
                         ambiguity_basis, standard_cutoff)
     from .quadrature import integrate
@@ -508,6 +517,7 @@ def _eg(cfg, rng, orders, tol):
 @_suite("rg-check")
 def _rg(cfg, rng, orders, tol):
     """Keys: shift (default 0.37), omega (default 1)."""
+    from .region import mollifier
     from .egren import TimeOrder2, main_theorem_check, \
         recover_delta_coefficient
     from .freeq import OscillatorModel, field_obs
@@ -542,6 +552,7 @@ def _rg(cfg, rng, orders, tol):
 @_suite("qbv-suite")
 def _qbv(cfg, rng, orders, tol):
     """Keys: omega (default 1), battery (default 6)."""
+    from .region import mollifier
     from .qbv import (interaction_vertex, interacting_bv, check_qme,
                       check_qme_vertex, delta0, amwi_check)
     from .bvalg import free_scalar, quartic_interaction

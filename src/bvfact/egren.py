@@ -23,6 +23,13 @@ Every pairing is a `bvfact.quadrature.integrate` call per piece of the
 support, cut at 0 and at the edges of supp f, so a missed tolerance raises
 `QuadratureError`.  On the pieces that touch 0 a kernel of degree k/q in
 lowest terms is integrated in s = |x|^(1/q), where x^(k/q) is smooth.
+
+Only the two-fold product is renormalized (`t2_build`).  The inductive
+contract for T_n, n >= 3: causal factorization fixes T_n away from the small
+diagonal in terms of the T_k, k < n, on the cover of the complement by
+ordered charts; the resulting kernels extend across the small diagonal by
+the same W-subtraction, with ambiguity parametrized by delta derivatives of
+order bounded by the scaling degree minus the codimension.
 """
 
 import math
@@ -329,22 +336,6 @@ def t2_build(F: DiagramPoly, G: DiagramPoly, choice=None,
     choice; symmetric in F and G by construction."""
     scheme = TimeOrder2(model=model, shifts=choice, orders=F.orders)
     return scheme.apply(F, G)
-
-
-def tn_build(n, *functionals, **kw):
-    """Renormalized n-fold time-ordered product.
-
-    Only n = 2 is constructed.  The inductive contract for n >= 3: causal
-    factorization fixes T_n away from the small diagonal in terms of the
-    T_k, k < n, on the cover of the complement by ordered charts; the
-    resulting kernels extend across the small diagonal by the same
-    W-subtraction, with ambiguity parametrized by delta derivatives of order
-    bounded by the scaling degree minus the codimension.
-    """
-    if n == 2:
-        return t2_build(*functionals, **kw)
-    raise NotImplementedError("only the two-fold product is renormalized; "
-                              "see the docstring for the induction contract")
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,15 @@ against one bump weight; field samples are those of `bvfact.numfields`.
 
 from __future__ import annotations
 
-from .symexpr import Expr, Symbol, QI, _add_into, _merge_monomials
-from .quadrature import QuadratureError, integrate
+from .symexpr import Expr, Symbol, QI, _add_into, _sub_into
+
+
+def __getattr__(name):
+    # the re-export of `QuadratureError` loads numpy only when it is read
+    if name == "QuadratureError":
+        from .quadrature import QuadratureError
+        return QuadratureError
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def xsym(i: int) -> Symbol:
@@ -126,13 +133,23 @@ class JetExpr:
         return repr(self.expr)
 
 
+# (symbol, axis) -> prolonged symbol; symbols are interned, so the memo
+# only saves building and looking up the bumped index again
+_PROLONGED = {}
+
+
 def total_derivative(f: JetExpr, i: int) -> JetExpr:
     """Total derivative D_i: chain rule through base, jet and test symbols.
 
     D_i is an even derivation, D_i f = sum_s (d^R f/ds) s', where s' is the
     prolonged symbol (1 for x_i, 0 for the other base coordinates).  The
-    right partials come from one pass over f's terms (`Expr.dright`), and
-    each product (d^R f/ds) s' is merged term by term into one sum.
+    right partials come from one pass over f's terms (`Expr.dright`).  Each
+    term of d^R f/ds takes s' on its right: s' enters from the right end of
+    the sorted monomial, past the factors that sort after it, and an odd s'
+    flips the sign once per odd factor it passes.  If s' is a factor
+    already, an odd s' kills the term and an even one raises its exponent.
+    (s' sorts after s, as bumping an index entry gives a larger tuple.)
+    Every term goes straight into one sum.
     """
     if not 0 <= i < f.dim:
         raise IndexError("base index %d out of range for dim %d" % (i, f.dim))
@@ -142,15 +159,33 @@ def total_derivative(f: JetExpr, i: int) -> JetExpr:
             if s.index[0] == i:
                 _add_into(acc, f.expr.dright(s).terms)
             continue
-        prolonged = ((Symbol(s.ns, s.name, _bump_index(s.index, i),
-                             s.grade), 1),)
-        # distinct monomials times one symbol stay distinct
-        terms = {}
+        p = _PROLONGED.get((s, i))
+        if p is None:
+            p = _PROLONGED[s, i] = Symbol(s.ns, s.name,
+                                          _bump_index(s.index, i), s.grade)
+        order, odd = p._order, p.odd
         for mono, c in f.expr.dright(s).terms.items():
-            sign, m = _merge_monomials(mono, prolonged)
-            if sign:
-                terms[m] = c if sign > 0 else -c
-        _add_into(acc, terms)
+            k = len(mono)
+            flip = False
+            while k and mono[k - 1][0]._order > order:
+                k -= 1
+                if odd and mono[k][0].odd:
+                    flip = not flip
+            if k and mono[k - 1][0] is p:
+                if odd:
+                    continue  # odd square
+                m = mono[:k - 1] + ((p, mono[k - 1][1] + 1),) + mono[k:]
+            else:
+                m = mono[:k] + ((p, 1),) + mono[k:]
+            if flip:
+                c = -c
+            v = acc.get(m)
+            if v is not None:
+                c = v + c
+                if not c:
+                    del acc[m]
+                    continue
+            acc[m] = c
     return JetExpr(Expr(acc), f.dim)
 
 
@@ -245,10 +280,12 @@ def _horner(parts, n, label, eta=None, lead=()):
 
     On axis i = len(lead) it runs R_m = Q_m - D_i R_{m+1} from the highest
     m down and returns R_0, where Q_m is this sum over the K beginning with
-    (lead, m), one axis further in.  So axis 0 is outermost, and in dim 1 a
-    field costs max K total derivatives, not sum K.  With `eta`, each step
-    also adds u_(lead, m) R_{m+1} to eta[i], u on the left: the homotopy
-    operator, with u the symbol of `label` = (namespace, name, grade).
+    (lead, m), one axis further in.  Each step subtracts D_i R_{m+1} in
+    place from one copy of Q_m's terms.  So axis 0 is outermost, and in
+    dim 1 a field costs max K total derivatives, not sum K.  With `eta`,
+    each step also adds u_(lead, m) R_{m+1} to eta[i], u on the left: the
+    homotopy operator, with u the symbol of `label` = (namespace, name,
+    grade).
     """
     i = len(lead)
     if i == n:
@@ -261,8 +298,9 @@ def _horner(parts, n, label, eta=None, lead=()):
             if eta is not None:
                 u = Symbol(label[0], label[1], _trim(lead + (m,)), label[2])
                 eta[i] = eta[i] + Expr.sym(u) * r.expr
-            dr = total_derivative(r, i)
-            q = -dr if q is None else q - dr
+            terms = dict(q.expr.terms) if q is not None else {}
+            _sub_into(terms, total_derivative(r, i).expr.terms)
+            q = JetExpr(Expr(terms), n)
         r = q
     return r
 
@@ -429,6 +467,8 @@ def evaluate_local(lagform: LagForm, weight, fields, tol=1e-10):
     hull = weight.support.bounds()
     if density.is_zero() or hull is None:
         return 0.0
+    # numpy loads with the quadrature, and only the numeric path needs it
+    from .quadrature import integrate
     val = integrate(lambda t: _density_value(density, t, fields) * weight(t),
                     [hull], tol=tol)
     return val.real if isinstance(val, complex) and not val.imag else val

@@ -543,6 +543,19 @@ def _add_into(acc, terms):
         acc[m] = c
 
 
+def _sub_into(acc, terms):
+    """Subtract the term dict `terms` from the term dict `acc`, in place."""
+    for m, c in terms.items():
+        c = -c
+        v = acc.get(m)
+        if v is not None:
+            c = v + c
+            if not c:
+                del acc[m]
+                continue
+        acc[m] = c
+
+
 def _lowered(mono, k, e):
     """mono with the exponent of its k-th factor, e, lowered by one."""
     if e == 1:

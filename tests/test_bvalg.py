@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvfact.symexpr import Expr, QI
 from bvfact.jetcalc import (JetExpr, jet, testfn as tfn, is_total_divergence,
@@ -116,6 +117,83 @@ class TestMasterEquation:
         assert (gauge_fix(L, Z).density - L.density).is_zero()
 
 
+# Even densities of mixed grade over fields of grade 0, -1 and -2 and their
+# antifields (grades 1, 2 and 3), with a test function
+CME_CONTENT = FieldContent([("u", 0), ("c", -1), ("e", -2)])
+
+
+@st.composite
+def _even_densities(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    names = ["u", "c", "e"] + [antifield_name(n) for n in ("u", "c", "e")]
+    indices = [(), (1,), (2,)] + ([(0, 1), (1, 1)] if dim == 2 else [])
+    e = Expr.zero()
+    for _ in range(draw(st.integers(1, 5))):
+        m = Expr.const(QI(draw(st.integers(-3, 3)), draw(st.integers(-2, 2))))
+        if draw(st.booleans()):
+            m = m * Expr.sym(tfn("f"))
+        for _ in range(draw(st.integers(1, 4))):
+            nm = draw(st.sampled_from(names))
+            m = m * Expr.sym(jet(nm, draw(st.sampled_from(indices)),
+                                 CME_CONTENT.grade(nm)))
+        if not m.grades() or m.homogeneous_grade() % 2 == 0:
+            e = e + m
+    return JetExpr(e, dim)
+
+
+class TestCMEResidual:
+    @given(_even_densities())
+    @settings(max_examples=60, deadline=None)
+    def test_residual_is_half_the_self_bracket(self, S):
+        # the reference: (1/2){S, S} from the two Euler-Lagrange runs of
+        # the general antibracket
+        ref = JetExpr.of(Fraction(1, 2), S.dim) * \
+            antibracket_density(CME_CONTENT, S, S)
+        got = check_cme(GenLagrangian(S, CME_CONTENT, ())).residual
+        assert got == ref
+
+    def test_mixed_grades_of_the_su2_models(self):
+        for L in (su2_yang_mills(),
+                  gauge_fix(su2_yang_mills(), su2_gauge_fixing_fermion())):
+            S = L.density
+            assert len(S.expr.grades()) > 1
+            ref = JetExpr.of(Fraction(1, 2), S.dim) * \
+                antibracket_density(L.content, S, S)
+            assert check_cme(GenLagrangian(S, L.content, ())).residual == ref
+
+    def test_odd_monomial_raises(self):
+        u = JetExpr.of(jet("u"), 1)
+        c = JetExpr.of(jet("c", (), -1), 1)
+        S = u * u + JetExpr.of(3, 1) * c * u
+        with pytest.raises(ValueError, match=r"3\*c\*u"):
+            check_cme(GenLagrangian(S, CME_CONTENT, ()))
+
+
+class TestCMEWork:
+    def test_su2_yang_mills_counts(self, monkeypatch):
+        # one Euler-Lagrange run for the residual and one for exactness;
+        # the merges are the products E^L_phi E^L_phi~ and nothing else
+        from bvfact import jetcalc, symexpr
+        L = su2_yang_mills()
+        runs, merges = [], []
+        euler, merge = jetcalc._euler_operator, symexpr._merge_monomials
+
+        def counted_euler(*args, **kw):
+            runs.append(1)
+            return euler(*args, **kw)
+
+        def counted_merge(m1, m2):
+            merges.append(1)
+            return merge(m1, m2)
+        monkeypatch.setattr(jetcalc, "_euler_operator", counted_euler)
+        monkeypatch.setattr(symexpr, "_merge_monomials", counted_merge)
+        monkeypatch.setattr(jetcalc, "_merge_monomials", counted_merge,
+                            raising=False)
+        assert check_cme(L).is_zero
+        assert len(runs) == 2
+        assert len(merges) <= 600
+
+
 class TestEliminateB:
     CONTENT = FieldContent([("u", 0), ("b_1", 0)])
 
@@ -149,6 +227,15 @@ class TestEliminateB:
         b, u = self._sym("b_1"), self._sym("u")
         with pytest.raises(ValueError, match="b_1"):
             eliminate_b(GenLagrangian(u * b * b, self.CONTENT, ()))
+
+    @pytest.mark.parametrize("derived_term", [False, True])
+    def test_derived_auxiliary_field_raises_naming_it(self, derived_term):
+        # b_1^2 + b_1' u would keep b_1' u in the density; in b_1'^2 + b_1 u
+        # the cause is the derivative, not the quadratic coefficient
+        b, bt, u = self._sym("b_1"), self._sym("b_1", (1,)), self._sym("u")
+        L = b * b + bt * u if derived_term else bt * bt + b * u
+        with pytest.raises(ValueError, match=r"b_1\.d\[1\]"):
+            eliminate_b(GenLagrangian(L, self.CONTENT, ()))
 
 
 class TestClassicalDifferential:

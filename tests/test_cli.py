@@ -140,3 +140,29 @@ class TestScipyFreeRuntime:
             [sys.executable, "-c", _NO_SCIPY, str(tmp_path / "r.json")],
             capture_output=True, text=True, timeout=300, env=env)
         assert res.returncode == 0, res.stderr
+
+
+_NO_NUMPY = """
+import sys
+from bvfact.cli import main
+
+out = sys.argv[1]
+for suite in ("cme-check", "olver-exactness", "bracket-suite"):
+    assert main([suite, "--seed", "0", "--out", out]) == 0, suite
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+assert not loaded, loaded
+"""
+
+
+class TestExactSuitesLoadNoNumpy:
+    def test_exact_scenarios_leave_numpy_unloaded(self, tmp_path):
+        import bvfact
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            bvfact.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        res = subprocess.run(
+            [sys.executable, "-c", _NO_NUMPY, str(tmp_path / "r.json")],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert res.returncode == 0, res.stderr

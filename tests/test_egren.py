@@ -13,7 +13,7 @@ from bvfact import egren
 from bvfact.egren import (DistKernel, theta_power, smooth_kernel,
                           feynman_power, scaling_degree, ambiguity_basis,
                           standard_cutoff, ExtendedDist, extend,
-                          TimeOrder2, t2_build, tn_build, RGElement,
+                          TimeOrder2, t2_build, RGElement,
                           main_theorem_check, recover_delta_coefficient,
                           _contact_terms)
 from bvfact.freeq import (OscillatorModel, field_obs, tprod, eval_poly,
@@ -111,10 +111,6 @@ class TestTimeOrder2:
         G = field_obs(mollifier(Fraction(1, 4), Fraction(1, 4)), power=2)
         assert t2_build(F, G, None, MODEL) == tprod(F, G)
         assert t2_build(F, G, {1: 0.1}, MODEL) != tprod(F, G)
-
-    def test_tn_induction_contract(self):
-        with pytest.raises(NotImplementedError):
-            tn_build(3)
 
 
 class TestRenormalizationGroup:

@@ -335,6 +335,12 @@ def _td_symbols(dim):
     return out
 
 
+def _prolong(s, i):
+    mu = list(s.index) + [0] * (i + 1 - len(s.index))
+    mu[i] += 1
+    return Symbol(s.ns, s.name, tuple(mu), s.grade)
+
+
 @st.composite
 def _densities(draw):
     dim = draw(st.sampled_from([1, 2]))
@@ -346,7 +352,21 @@ def _densities(draw):
             m = m * Expr.sym(draw(st.sampled_from(pool))) ** \
                 draw(st.integers(1, 3))
         e = e + m
-    return JetExpr(e, dim)
+    # a monomial that holds a jet s next to its prolongation s' along some
+    # axis (so D s meets s': an odd s' squares to 0, an even one's exponent
+    # rises), and in dim 2 jets of the same field that sort between s and
+    # s' (the sign of an odd s' counts the odd ones among them)
+    s = draw(st.sampled_from([t for t in pool if t.ns != "x"]))
+    p = _prolong(s, draw(st.integers(0, dim - 1)))
+    between = [t for t in pool if t.ns == s.ns and t.name == s.name
+               and s._order < t._order < p._order]
+    m = Expr.const(QI(draw(st.integers(1, 3)), draw(st.integers(-2, 2))))
+    m = m * Expr.sym(s) * Expr.sym(p) ** draw(st.integers(1, 2))
+    for t in draw(st.lists(st.sampled_from(between), unique=True)
+                  if between else st.just([])):
+        m = m * Expr.sym(t)
+    m = m * Expr.sym(draw(st.sampled_from(pool)))
+    return JetExpr(e + m, dim)
 
 
 class TestTotalDerivativeChainRule:
@@ -365,6 +385,23 @@ class TestTotalDerivativeChainRule:
         got = total_derivative(f, 0)
         assert got.expr == _td_per_symbol(f, 0) == _td_leibniz(f, 0)
         assert not got.is_zero()
+
+    def test_prolonged_symbol_already_a_factor(self):
+        # D_0(c c') = c' c' + c c'' = c c'' for odd c; D_0(u^2 u') = 2 u u'^2
+        # + u^2 u''; and in dim 2, D_0 takes c to c.d[1], which sorts after
+        # the odd c.d[0,1] and c.d[0,2] but before the odd c.d[2]
+        u, c = jet("u"), jet("c", (), -1)
+        cases = [(1, Expr.sym(c) * Expr.sym(_prolong(c, 0))),
+                 (1, Expr.sym(u) ** 2 * Expr.sym(_prolong(u, 0))),
+                 (2, Expr.sym(c) * Expr.sym(jet("c", (0, 1), -1))
+                  * Expr.sym(jet("c", (0, 2), -1))
+                  * Expr.sym(jet("c", (2,), -1)) * Expr.sym(jet("u", (1,))))]
+        for dim, e in cases:
+            f = JetExpr(e, dim)
+            for i in range(dim):
+                got = total_derivative(f, i)
+                assert got.expr == _td_per_symbol(f, i) == _td_leibniz(f, i)
+                assert not got.is_zero()
 
 
 # ---------------------------------------------------------------------------
