@@ -191,35 +191,44 @@ class CMEReport:
         return "CMEReport(is_zero=%s)" % self.is_zero
 
 
-def check_cme(L: GenLagrangian) -> CMEReport:
-    """residual = (1/2){L(f), L(f)} as a density, reduced by the cutoff
-    convention (unit_on test functions equal 1 on the support of the rest)
-    and tested for vanishing modulo total divergences.
+def half_self_bracket(content, S: JetExpr) -> JetExpr:
+    """(1/2){S, S} as a density, for a density S of even grade.
 
     A BV action is even, and for an even density S the right and left
     Euler-Lagrange derivatives differ by E^R_a(S) = (-1)^|a| E^L_a(S).  As
     |a| + |a~| = 1, the two halves of each pair in {S, S} are then equal,
     and (1/2){S, S} = sum over fields phi of (-1)^|phi| E^L_phi E^L_phi~:
     one left Euler-Lagrange run and half of the products, summed into one
-    dict.  A monomial of odd grade raises ValueError.
+    dict.  It equals (1/2) antibracket_density(content, S, S) term for
+    term.  A monomial of odd grade raises ValueError.
     """
-    for mono, c in L.density.expr.terms.items():
-        if L.density.expr.grade_of_monomial(mono) % 2:
-            raise ValueError("CME of an odd density: the monomial %r has odd "
-                             "grade" % (Expr({mono: c}),))
-    el = euler_lagrange_density(L.density)
+    for mono, c in S.expr.terms.items():
+        if S.expr.grade_of_monomial(mono) % 2:
+            raise ValueError("self-bracket of an odd density: the monomial "
+                             "%r has odd grade" % (Expr({mono: c}),))
+    el = euler_lagrange_density(S)
     acc = {}
-    for name, gf in L.content.fields:
+    for name, gf in content.fields:
         af = antifield_name(name)
         e_phi = el.get((name, gf))
-        e_af = el.get((af, L.content.grade(af)))
+        e_af = el.get((af, content.grade(af)))
         if e_phi is not None and e_af is not None:
             prod = (e_phi.expr * e_af.expr).terms
             if gf % 2:
                 _sub_into(acc, prod)
             else:
                 _add_into(acc, prod)
-    half = JetExpr(Expr(acc), L.dim)
+    return JetExpr(Expr(acc), S.dim)
+
+
+def check_cme(L: GenLagrangian) -> CMEReport:
+    """residual = (1/2){L(f), L(f)} as a density (see `half_self_bracket`:
+    one left Euler-Lagrange run), reduced by the cutoff convention (unit_on
+    test functions equal 1 on the support of the rest) and tested for
+    vanishing modulo total divergences.  A monomial of odd grade raises
+    ValueError.
+    """
+    half = half_self_bracket(L.content, L.density)
     active = tuple(n for n in L.testnames if n not in L.unit_on) or None
     red = reduce_cutoff(half, L.unit_on, active)
     return CMEReport(red, is_total_divergence(red))

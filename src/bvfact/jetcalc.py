@@ -17,7 +17,7 @@ against one bump weight; field samples are those of `bvfact.numfields`.
 
 from __future__ import annotations
 
-from .symexpr import Expr, Symbol, QI, _add_into, _sub_into
+from .symexpr import Expr, Symbol, QI, _add_into
 
 
 def __getattr__(name):
@@ -95,7 +95,7 @@ class JetExpr:
         return JetExpr(-self.expr, self.dim)
 
     def __sub__(self, other):
-        return self + (-JetExpr.of(other, self.dim))
+        return JetExpr(self.expr - JetExpr.of(other, self.dim).expr, self.dim)
 
     def __mul__(self, other):
         other = JetExpr.of(other, self.dim)
@@ -298,9 +298,8 @@ def _horner(parts, n, label, eta=None, lead=()):
             if eta is not None:
                 u = Symbol(label[0], label[1], _trim(lead + (m,)), label[2])
                 eta[i] = eta[i] + Expr.sym(u) * r.expr
-            terms = dict(q.expr.terms) if q is not None else {}
-            _sub_into(terms, total_derivative(r, i).expr.terms)
-            q = JetExpr(Expr(terms), n)
+            dr = total_derivative(r, i)
+            q = -dr if q is None else q - dr
         r = q
     return r
 

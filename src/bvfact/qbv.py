@@ -15,9 +15,9 @@ from .region import Region, Bump, window
 from .freeq import (OscillatorModel, DiagramPoly, field_obs, shat0,
                     delta_s0, bv_laplacian, tmap, tmap_inv, eval_poly,
                     _mixed_states, _delta_contract)
-from .jetcalc import is_total_divergence, JetExpr
-from .bvalg import (GenLagrangian, antibracket_density, reduce_cutoff,
-                    AF_SUFFIX)
+from .jetcalc import is_total_divergence
+from .bvalg import (GenLagrangian, antibracket_density, half_self_bracket,
+                    reduce_cutoff, AF_SUFFIX)
 
 
 class QMEError(Exception):
@@ -133,7 +133,8 @@ def check_qme(L0: GenLagrangian, LI: GenLagrangian = None, orders=(3, 2),
               fake_anomaly=None):
     """Quantum master equation residual for L(f) = L0(f) + lambda LI(f):
     per lambda order the classical bracket densities (tested exactly modulo
-    total divergences after cutoff reduction), plus the hbar-linear anomaly
+    total divergences after cutoff reduction; L0 and LI are even, and their
+    self-brackets come from `half_self_bracket`), plus the hbar-linear anomaly
     term, which for interactions without antifield legs vanishes identically.
 
     `fake_anomaly` injects a nonzero defect into the hbar*lambda slot to
@@ -141,18 +142,20 @@ def check_qme(L0: GenLagrangian, LI: GenLagrangian = None, orders=(3, 2),
     """
     report = {"orders": {}, "ok": True}
 
-    def bracket_ok(a, b, half):
-        br = antibracket_density(L0.content, a.density, b.density)
-        if half:
-            br = JetExpr.of(Fraction(1, 2), a.dim) * br
+    def bracket_ok(a, b):
+        # (1/2){a, a} for a self-bracket, {a, b} for the cross term
+        if a is b:
+            br = half_self_bracket(L0.content, a.density)
+        else:
+            br = antibracket_density(L0.content, a.density, b.density)
         names = set(a.testnames) | set(b.testnames)
         red = reduce_cutoff(br, names)
         return is_total_divergence(red)
 
-    report["orders"][(0, 0)] = bool(bracket_ok(L0, L0, True))
+    report["orders"][(0, 0)] = bool(bracket_ok(L0, L0))
     if LI is not None:
-        report["orders"][(0, 1)] = bool(bracket_ok(L0, LI, False))
-        report["orders"][(0, 2)] = bool(bracket_ok(LI, LI, True))
+        report["orders"][(0, 1)] = bool(bracket_ok(L0, LI))
+        report["orders"][(0, 2)] = bool(bracket_ok(LI, LI))
         # -i hbar Laplacian(lambda LI): one field and one antifield leg at a
         # coincident point; absent antifield dependence it vanishes.
         has_af = any(s.ns == "jet" and s.name.endswith(AF_SUFFIX)

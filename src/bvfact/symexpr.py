@@ -356,10 +356,14 @@ class Expr:
         return Expr({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-_as_expr(other))
+        acc = dict(self.terms)
+        _sub_into(acc, _as_expr(other).terms)
+        return Expr(acc)
 
     def __rsub__(self, other):
-        return _as_expr(other) + (-self)
+        acc = dict(_as_expr(other).terms)
+        _sub_into(acc, self.terms)
+        return Expr(acc)
 
     def __mul__(self, other):
         other = _as_expr(other)
@@ -612,7 +616,11 @@ class FormalSeries:
         return _series({k: -c for k, c in self.coeffs.items()}, self.orders)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        self._check(other)
+        acc = dict(self.coeffs)
+        _sub_into(acc, other.coeffs)
+        return _series(acc, self.orders)
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -99,6 +99,22 @@ class TestMasterEquation:
         assert rep["orders"][(0, 0)] and rep["orders"][(0, 1)]
         assert rep["orders"][(0, 2)] and rep["orders"][(1, 1)]
 
+    def test_self_brackets_take_one_run(self, monkeypatch):
+        # (1/2){L0, L0} and (1/2){LI, LI} come from half_self_bracket's one
+        # Euler-Lagrange run; only the cross term {L0, LI} takes the two
+        # runs of the general antibracket
+        from bvfact import qbv
+        calls = []
+        general = qbv.antibracket_density
+
+        def counted(*args):
+            calls.append(1)
+            return general(*args)
+        monkeypatch.setattr(qbv, "antibracket_density", counted)
+        assert check_qme(free_scalar(), quartic_interaction(),
+                         orders=ORDERS)["ok"]
+        assert len(calls) == 1
+
     def test_free_only(self):
         rep = check_qme(free_scalar(), orders=ORDERS)
         assert rep["ok"]
