@@ -58,12 +58,12 @@ class DistKernel:
     """Closed-form kernel on the line minus the origin, in the relative time
     coordinate.
 
-    `func` takes one scalar; called on an array of points, the kernel
-    applies it at every point, so the quadrature can pass its node arrays.
-    `degree` is the declared scaling degree (a Fraction) or None for
-    "unknown, measure it"; its extension across 0 subtracts Taylor terms
-    to order floor(degree - 1), 1 being the dimension of the line.  Pairing
-    with a test function supported away from 0 is a plain quadrature.
+    `func` maps a node array of the quadrature to the kernel's values on
+    it, in one call (a float to one value).  `degree` is the declared
+    scaling degree (a Fraction) or None for "unknown, measure it"; its
+    extension across 0 subtracts Taylor terms to order floor(degree - 1),
+    1 being the dimension of the line.  Pairing with a test function
+    supported away from 0 is a plain quadrature.
     """
 
     def __init__(self, func, degree=None, name=None):
@@ -72,8 +72,6 @@ class DistKernel:
         self.name = name or "kernel"
 
     def __call__(self, x):
-        if np.ndim(x):
-            return np.array(np.frompyfunc(self.func, 1, 1)(x).tolist())
         return self.func(x)
 
     def pair(self, f, tol=1e-10):
@@ -89,20 +87,26 @@ def theta_power(p):
     """theta(x)/x^p on R; scaling degree p."""
     p = Fraction(p)
     pf = float(p)
-    return DistKernel(lambda x: x ** -pf if x > 0 else 0.0,
+    # x^-p is formed only where x > 0, so 0^-p never warns
+    return DistKernel(lambda x: np.power(x, -pf, out=np.zeros(np.shape(x)),
+                                         where=np.greater(x, 0))[()],
                       degree=p, name="theta/x^%s" % p)
 
 
 def smooth_kernel(func, name="smooth"):
-    """A kernel smooth across the origin: scaling degree 0 (if func(0) != 0)."""
-    return DistKernel(func, degree=0, name=name)
+    """A kernel smooth across the origin: scaling degree 0 (if func(0) != 0).
+    `func` takes one float; `np.frompyfunc` wraps it once, here."""
+    values = np.frompyfunc(func, 1, 1)  # its values are Python numbers
+    return DistKernel(lambda x: np.array(np.asarray(values(x)).tolist())[()],
+                      degree=0, name=name)
 
 
 def feynman_power(model: OscillatorModel, m):
     """(G^F)^m(t - s) in the relative coordinate; bounded, so degree 0."""
     gf = PropagatorKernel("feynman", model.omega)
-    return DistKernel(lambda x: gf.value(x) ** m, degree=0,
-                      name="feynman^%d" % m)
+    # np.power: `** 2` rounds a 0-d array and a longer one differently
+    return DistKernel(lambda x: np.power(gf.value(np.asarray(x, float)), m),
+                      degree=0, name="feynman^%d" % m)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +257,11 @@ class TimeOrder2:
     m-edge kernel, producing contact terms -- the freedom the
     renormalization-group comparison quantifies.
 
-    `apply` is bilinear: each ordered pair of diagrams is expanded once per
-    scheme, with unit coefficients, and kept on the instance; `shifts` is
-    read-only so that the kept expansions stay valid.
+    `apply` is bilinear: each unordered pair of diagrams is expanded once
+    per scheme, with unit coefficients, and kept on the instance; the
+    reversed pair reads the same terms times the graded-symmetry sign
+    (-1)^(|d1| |d2|), |d| the diagram's antifield-leg count mod 2.  `shifts`
+    is read-only so that the kept expansions stay valid.
     """
 
     def __init__(self, model=None, shifts=None, orders=(3, 2)):
@@ -265,7 +271,7 @@ class TimeOrder2:
         for m in self._shifts:
             if not (1 <= m <= self.orders[0]):
                 raise ValueError("shift order %r out of hbar range" % (m,))
-        self._pairs = {}  # (d1 key, d2 key, orders) -> [(Diagram, series)]
+        self._pairs = {}  # (d1 key, d2 key, orders) -> (terms, sign)
 
     @property
     def shifts(self):
@@ -278,25 +284,30 @@ class TimeOrder2:
         out = DiagramPoly(orders=F.orders)
         for d1, c1 in F.terms.values():
             for d2, c2 in G.terms.values():
-                c = c1 * c2
-                for d, e in self._pair(d1, d2, F.orders):
+                terms, sign = self._pair(d1, d2, F.orders)
+                c = c1 * c2 if sign > 0 else -(c1 * c2)
+                for d, e in terms:
                     out._add(d, e * c)
         return out
 
     def _pair(self, d1, d2, orders):
         """The terms of tprod plus the contact terms on the unit-coefficient
-        pair (d1, d2), expanded on first use."""
+        pair (d1, d2), and the sign they are read with: the pair is expanded
+        on first use, and (d2, d1) then reads its terms."""
         key = (d1.key(), d2.key(), orders)
-        terms = self._pairs.get(key)
-        if terms is None:
+        hit = self._pairs.get(key)
+        if hit is None:
             F = DiagramPoly([(d1, 1)], orders)
             G = DiagramPoly([(d2, 1)], orders)
             P = tprod(F, G)
             for m, c in self._shifts.items():
                 if c:
                     P = P + _contact_terms(F, G, m, c)
-            terms = self._pairs[key] = list(P.terms.values())
-        return terms
+            terms = list(P.terms.values())
+            odd = all(sum(v.au for v in d.verts) % 2 for d in (d1, d2))
+            self._pairs[key[1], key[0], orders] = (terms, -1 if odd else 1)
+            hit = self._pairs[key] = (terms, 1)
+        return hit
 
     def __repr__(self):
         return "TimeOrder2(omega=%g, shifts=%r)" % (self.model.omega,
@@ -454,18 +465,14 @@ def recover_delta_coefficient(T: TimeOrder2, T2: TimeOrder2, f: Bump,
                               g: Bump, model=None, tol=1e-8):
     """Measure the c in Z2 = c*delta at one Feynman edge, from the numeric
     value of Z2(u(f), u(g)) = c * hbar * int f g."""
+    from .numfields import Poly1D
     model = model or T.model
     F = field_obs(f)
     G = field_obs(g)
     diff = T2.apply(F, G) - T.apply(F, G)
-    vals = eval_poly(diff, model, {"u": _unit_field()}, tol=tol * 1e-2)
+    vals = eval_poly(diff, model, {"u": Poly1D([1.0])}, tol=tol * 1e-2)
     num = vals.get((1, 0), 0.0)
     den = _overlap_integral(f, g, tol * 1e-2)
     if den == 0:
         raise ValueError("f and g must overlap")
     return num / den
-
-
-def _unit_field():
-    from .numfields import Poly1D
-    return Poly1D([1.0])

@@ -27,11 +27,12 @@ allowed), by leg species:
              P W = P Delta = 0, so (Pu) legs are inert;
   (Pu)-(Pu)  under G^F raises NotImplementedError: i P delta has no vertex
              form.
-A kernel with no rule raises too.  tprod contracts only F-legs with G-legs
-and fuses only when it emits a term, so it equals T(T^-1 F . T^-1 G).
+tprod contracts only F-legs with G-legs and fuses only when it emits a
+term, so it equals T(T^-1 F . T^-1 G).
 """
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 from itertools import permutations, product as iproduct
@@ -76,9 +77,6 @@ class PropagatorKernel:
             raise ValueError("unknown kernel kind %r" % kind)
         self.kind = kind
         self.omega = float(omega)
-
-    def __call__(self, t, s=0.0):
-        return self.value(t - s)
 
     def value(self, tau):
         """k(tau) at a float, or at every point of an array of tau."""
@@ -325,7 +323,11 @@ class DiagramPoly:
         return out
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        out = DiagramPoly(orders=self.orders)
+        out.terms = dict(self.terms)
+        for d, c in other.terms.values():
+            out._add(d, -c)
+        return out
 
     def scale(self, c):
         out = DiagramPoly(orders=self.orders)
@@ -375,24 +377,18 @@ def field_obs(f: Bump, power=1, afpower=0, orders=(3, 2)):
 # Contraction machinery
 # ---------------------------------------------------------------------------
 
-# kernels under which a (Pu) leg is inert: bi-solutions, P W = P Delta = 0
-_BISOLUTIONS = ("wightman", "pauli-jordan")
-
-
 def _contract(verts, i, j, kind):
     """The ways to contract one leg at vertex i with one leg at vertex j
     (i == j allowed) by the `kind` kernel: a list of (verts, edges, links,
     count), the vertices with the two legs dropped, the kernel edges and
     delta links the contraction adds, and its multiplicity.
 
-    The rules are in the module docstring.  A (Pu)-u pair under G^F is
+    The rules are in the module docstring; `kind` is "feynman" or a
+    bi-solution, "wightman" or "pauli-jordan".  A (Pu)-u pair under G^F is
     returned as a link (i, j) with factor i, which `_fuse` applies when the
     term is emitted; at one vertex, or between vertices already linked, the
     link changes nothing, so the pair is pointwise.
     """
-    if kind != "feynman" and kind not in _BISOLUTIONS:
-        raise NotImplementedError("the contraction step has no rule for the "
-                                  "%s kernel" % kind)
     vi, vj = verts[i], verts[j]
     same = i == j
     if kind == "feynman" and vi.p and vj.p and (vi.p > 1 or not same):
@@ -474,8 +470,10 @@ def _delta_contract(verts, edges, iu, ia):
 # Star product, time ordering, deformed product
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _hbar_weight(k, orders, sign=1):
-    """hbar^k / k! as a FormalSeries, with an optional (-1)^k for inverses."""
+    """hbar^k / k! as a FormalSeries, with an optional (-1)^k for inverses;
+    kept after its first use (a series is never changed in place)."""
     return FormalSeries({(k, 0): Fraction(sign ** k, math.factorial(k))},
                         orders)
 

@@ -229,11 +229,11 @@ def containers(cover, intervals):
 # operations of the order-0 `_Taylor` rows in the same order, including the
 # early 0.0 of `_Prod` and `_Quot`, so the two paths agree bit for bit;
 # `_Deriv` runs `_Taylor` inside its closure.  A `_Quot` whose denominator is
-# a `_Sum` holding the numerator node (a smoothstep, a psi_k of a partition of
-# unity) evaluates the numerator once and adds that value in its place in
-# the sum (`_Sum.reading`), as `_Taylor` reads it from its memo.  The
-# denominator of psi_k sums only the windows whose supports meet w_k's,
-# found by one sweep over the support intervals sorted by left end
+# a `_Sum` holding the numerator node (a step of a window, a psi_k of a
+# partition of unity) evaluates the numerator once and adds that value in
+# its place in the sum (`_Sum.reading`), as `_Taylor` reads it from its
+# memo.  The denominator of psi_k sums only the windows whose supports meet
+# w_k's, found by one sweep over the support intervals sorted by left end
 # (`_meeting_pairs`), not by testing every pair.
 
 def _where(cond, x, y):
@@ -581,8 +581,8 @@ class _Quot(_Node):
         num, den = self.num.scalar(), self.den
         if isinstance(den, _Sum) and any(ch is self.num
                                          for ch in den.children):
-            # a smoothstep or a psi_k: the numerator's value is reused as
-            # its term of the denominator
+            # a step of a window or a psi_k: the numerator's value is
+            # reused as its term of the denominator
             den = den.reading(self.num)
         else:
             g = den.scalar()
@@ -641,29 +641,16 @@ def mollifier(center=0, radius=1):
                                                Fraction(center) + Fraction(radius)))
 
 
-def _expinv_linear(a, b):
-    # exp(-1/(a t + b)) for a t + b > 0
-    return _ExpInv(_Poly([b, a]))
-
-
 def _step_node(a, b):
     # exp(-1/s) / (exp(-1/s) + exp(-1/(1-s))), s = (t-a)/(b-a), floats a < b
     w = b - a
-    num = _expinv_linear(1.0 / w, -a / w)
-    return _Quot(num, _Sum([num, _expinv_linear(-1.0 / w, b / w)]))
+    num = _ExpInv(_Poly([-a / w, 1.0 / w]))
+    return _Quot(num, _Sum([num, _ExpInv(_Poly([b / w, -1.0 / w]))]))
 
 
 def _window_node(a, b, c, d):
     # up from a to b, times the reflection of the step from -d to -c
     return _Prod([_step_node(a, b), _Reflect(_step_node(-d, -c))])
-
-
-def smoothstep(a, b):
-    """0 for t <= a, 1 for t >= b, strictly increasing between (a < b)."""
-    # the support is the ray (a, inf); a bounded stand-in tracks it
-    a, b = float(a), float(b)
-    cut = Fraction(a).limit_denominator(10**9)
-    return Bump(_step_node(a, b), Region.interval(cut, cut + 10**9))
 
 
 def window(a, b, c, d):
@@ -700,11 +687,6 @@ class _Reflect(_Node):
     def _compile(self):
         child = self.child.scalar()
         return lambda t: child(-t)
-
-
-def constant_one():
-    node = _Const(1.0)
-    return Bump(node, Region.interval(-10**9, 10**9))
 
 
 # ---------------------------------------------------------------------------

@@ -623,8 +623,15 @@ class FormalSeries:
         return _series(acc, self.orders)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        """The truncated product; a number or a constant series scales the
+        other factor coefficient by coefficient."""
+        if not isinstance(other, FormalSeries):
+            return self._scaled(other if type(other) is int
+                                else _series_coeff(other))
         self._check(other)
+        for a, b in ((self, other), (other, self)):
+            if len(b.coeffs) < 2 and b.coeffs.keys() <= {(0, 0)}:
+                return a._scaled(b.coeffs.get((0, 0), 0))
         hmax, lmax = self.orders
         acc = {}
         for (p1, q1), c1 in self.coeffs.items():
@@ -643,6 +650,13 @@ class FormalSeries:
         return _series(acc, self.orders)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c):
+        """The series times the int or QI c."""
+        if not c:
+            return _series({}, self.orders)
+        return _series({pq: v * c for pq, v in self.coeffs.items()},
+                       self.orders)
 
     def _coerce(self, other):
         if isinstance(other, FormalSeries):
@@ -708,9 +722,7 @@ def series_exp(a: FormalSeries) -> FormalSeries:
         term = term * a
         if term.is_zero():
             break
-        inv = QI(Fraction(1, math.factorial(k)))
-        out = out + _series({pq: c * inv for pq, c in term.coeffs.items()},
-                            a.orders)
+        out = out + term * QI(Fraction(1, math.factorial(k)))
     return out
 
 

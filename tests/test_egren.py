@@ -6,8 +6,9 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bvfact import egren
 from bvfact.egren import (DistKernel, theta_power, smooth_kernel,
@@ -17,13 +18,13 @@ from bvfact.egren import (DistKernel, theta_power, smooth_kernel,
                           main_theorem_check, recover_delta_coefficient,
                           _contact_terms)
 from bvfact.freeq import (OscillatorModel, field_obs, tprod, eval_poly,
-                          unit, delta_s0, DiagramPoly, star)
+                          unit, delta_s0, DiagramPoly, star, green)
 from bvfact.symexpr import QI, FormalSeries
 from bvfact.region import mollifier, window, not_later
 from bvfact.quadrature import QuadratureError
 from bvfact.numfields import Poly1D
 
-from test_freeq import _bump_specs
+from test_freeq import _bump_specs, _observables
 
 MODEL = OscillatorModel(omega=1)
 
@@ -43,6 +44,62 @@ class TestScalingDegree:
         for m in (1, 2, 3):
             k = feynman_power(MODEL, m)
             assert scaling_degree(k) == 0
+
+    def test_vanishing_pairing_raises(self):
+        with pytest.raises(egren.RegressionError, match="pairing vanished"):
+            scaling_degree(smooth_kernel(lambda x: 0.0), exact=False)
+
+    def test_unsettled_slopes_raise(self):
+        # exp(-1/x) falls faster than any power: the slopes keep growing
+        with pytest.raises(egren.RegressionError, match="not settling"):
+            scaling_degree(smooth_kernel(lambda x: math.exp(-1 / x)),
+                           exact=False)
+
+
+# zeros, drawn floats, and quotients with no short binary expansion, whose
+# last bits round differently between evaluation paths
+_NODES = st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                            st.floats(1e-3, 4), st.floats(-4, -1e-3),
+                            st.integers(-4000, 4000).map(lambda k: k / 997)),
+                  min_size=1, max_size=40)
+
+
+def _bits(v):
+    return np.asarray(v).tobytes()
+
+
+class TestKernelsOnNodeArrays:
+    # a kernel is called once on each node array: every value there equals
+    # the kernel's value at that point alone, bit for bit, and x^-p is
+    # formed only where x > 0, so no RuntimeWarning is raised
+    @settings(max_examples=60, deadline=None)
+    @given(_NODES, st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1,
+                                    Fraction(3, 2), 2, Fraction(5, 2)]))
+    def test_theta_power(self, xs, p):
+        # numpy's power may round x^-p apart from the float loop's: a few
+        # units in the last place of a float64
+        k = theta_power(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vals = k(np.array(xs))
+            assert vals.shape == (len(xs),)
+            for x, v in zip(xs, vals):
+                assert _bits(k(x)) == _bits(v)
+                ref = x ** -float(p) if x > 0 else 0.0
+                assert abs(v - ref) <= 4 * np.finfo(float).eps * ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(_NODES, st.integers(1, 4))
+    def test_feynman_power(self, xs, m):
+        # the values are those of the scalar propagator raised to m
+        gf = green(MODEL, "feynman")
+        k = feynman_power(MODEL, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vals = k(np.array(xs))
+            for x, v in zip(xs, vals):
+                assert _bits(k(x)) == _bits(v)
+                assert _bits(np.complex128(gf.value(x) ** m)) == _bits(v)
 
 
 class TestAmbiguity:
@@ -105,6 +162,12 @@ class TestTimeOrder2:
         F = field_obs(mollifier(0, Fraction(1, 2)))
         G = field_obs(mollifier(Fraction(1, 4), Fraction(1, 4)))
         assert T.apply(F, G) == T.apply(G, F)
+
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_shift_order_out_of_range_raises(self, m):
+        # orders (3, 2): a shift lives at hbar^1 to hbar^3
+        with pytest.raises(ValueError, match="out of hbar range"):
+            TimeOrder2(MODEL, shifts={m: Fraction(1, 2)})
 
     def test_t2_build_dispatch(self):
         F = field_obs(mollifier(0, Fraction(1, 2)), power=2)
@@ -273,9 +336,35 @@ class TestBilinearTimeOrder:
             T.shifts[1] = 0.3
         assert T.shifts == {1: 0.2}
 
+    @settings(max_examples=80, deadline=None)
+    @given(_observables(), _observables(),
+           st.dictionaries(st.integers(1, 3), _SMALL.filter(bool),
+                           min_size=1, max_size=3))
+    @example(field_obs(mollifier(0, Fraction(1, 2)), afpower=1),
+             field_obs(mollifier(Fraction(1, 4), Fraction(1, 4)), power=2,
+                       afpower=1), {1: Fraction(1, 2), 2: 1})
+    @example(field_obs(mollifier(0, Fraction(1, 2))),
+             field_obs(mollifier(Fraction(1, 4), Fraction(1, 4)), power=2),
+             {1: Fraction(1, 2)})
+    def test_reversed_pair_reads_the_mirror_expansion(self, F, G, shifts):
+        # T(G, F) reuses the terms of T(F, G) with the sign (-1)^(|F| |G|)
+        # of the antifield legs; items of either parity, with u~ and (Pu)
+        # legs, so both signs occur
+        T = TimeOrder2(MODEL, shifts=shifts)
+        for A, B in ((F, G), (G, F)):
+            try:
+                want = _direct(shifts, A, B)
+            except NotImplementedError:
+                # a (Pu)-(Pu) pair under G^F: no vertex form
+                with pytest.raises(NotImplementedError):
+                    T.apply(A, B)
+                continue
+            assert _table(T.apply(A, B)) == _table(want)
+
     def test_main_theorem_expands_each_pair_once_per_scheme(self, monkeypatch):
-        # a four-item battery has 16 ordered pairs of diagrams; every check
-        # of main_theorem_check reuses their expansions
+        # a four-item battery has 16 ordered pairs of diagrams, 10 unordered
+        # ones; every check of main_theorem_check reuses their expansions,
+        # and a reversed pair reads the expansion of its mirror
         calls = []
 
         def counting_tprod(F, G):
@@ -289,7 +378,7 @@ class TestBilinearTimeOrder:
         T, T2 = TimeOrder2(MODEL), TimeOrder2(MODEL, shifts={1: 0.37})
         _, rep = main_theorem_check(T, T2, battery, fields=fields)
         assert rep["ok"]
-        assert len(calls) == 2 * 16
+        assert len(calls) == 2 * 10
         assert set(calls) == {(1, 1)}
 
 

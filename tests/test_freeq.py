@@ -226,9 +226,8 @@ class TestCanonicalForm:
         F = field_obs(F_BUMP, power=2)
         assert not (F * F).is_zero()
 
-    def test_smoothstep_vertex_weight(self):
-        from bvfact.region import smoothstep
-        P = field_obs(smoothstep(0, 1)) * field_obs(
+    def test_step_window_vertex_weight(self):
+        P = field_obs(window(0, 1, 8, 9)) * field_obs(
             mollifier(0, Fraction(1, 2)))
         assert not P.is_zero()
 
@@ -286,6 +285,19 @@ def _observables(draw):
         F = F * field_obs(spec[0](*spec[1:]), power=draw(st.integers(0, 3)),
                           afpower=draw(st.integers(0, 1)))
     return delta_s0(F) if draw(st.booleans()) else F
+
+
+class TestDifference:
+    @settings(max_examples=60, deadline=None)
+    @given(_observables(), _observables(), st.integers(-2, 2),
+           st.integers(-2, 2))
+    def test_matches_the_sum_with_the_negative(self, F, G, a, b):
+        # F and G may share diagrams, so terms cancel and merge
+        F, G = F.scale(a) + G, G.scale(b) + F
+        got, want = F - G, F + G.scale(-1)
+        assert {k: c.coeffs for k, (_, c) in got.terms.items()} == \
+            {k: c.coeffs for k, (_, c) in want.terms.items()}
+        assert (F - F).is_zero()
 
 
 def _p_only(f):

@@ -19,8 +19,7 @@ from bvfact.freeq import (KERNEL_KINDS, Diagram, OscillatorModel,
                           pair_kernel)
 from bvfact.numfields import Poly1D
 from bvfact.quadrature import QuadratureError, integrate
-from bvfact.region import (Region, mollifier, partition_of_unity,
-                           smoothstep, window)
+from bvfact.region import Region, mollifier, partition_of_unity, window
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +116,16 @@ _RADII = st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
 @st.composite
 def bumps(draw):
     """(bump, support edges) for the bump kinds built by `region`."""
-    kind = draw(st.sampled_from(["mollifier", "window", "smoothstep",
+    kind = draw(st.sampled_from(["mollifier", "window", "step",
                                  "partition", "deriv", "product"]))
     c, r = draw(_HALVES), draw(_RADII)
     if kind == "mollifier":
         return mollifier(c, r), [c - r, c + r]
     if kind == "window":
         return window(c - r, c - r / 2, c + r / 2, c + r), [c - r, c + r]
-    if kind == "smoothstep":
-        return smoothstep(c, c + r), [c, c + r]
+    if kind == "step":
+        # a window whose plateau runs past every sampled point: a step up
+        return window(c, c + r, c + 8, c + 9), [c, c + r]
     if kind == "partition":
         cover = [Region.interval(c - 1, c + Fraction(1, 2)),
                  Region.interval(c, c + Fraction(3, 2))]
@@ -137,7 +137,7 @@ def bumps(draw):
     if kind == "deriv":
         return mollifier(c, r).d(draw(st.integers(1, 3))), [c - r, c + r]
     m = mollifier(c, r)
-    return m * smoothstep(c - r / 2, c), [c - r, c + r]
+    return m * window(c - r / 2, c, c + 8, c + 9), [c - r, c + r]
 
 
 class TestBumpValues:
@@ -147,7 +147,8 @@ class TestBumpValues:
                     min_size=1, max_size=4),
            st.lists(st.floats(0, 1), min_size=1, max_size=4),
            st.lists(st.floats(-2, 2), max_size=4))
-    @example((mollifier(0, Fraction(1, 4)) * smoothstep(Fraction(-1, 8), 0),
+    @example((mollifier(0, Fraction(1, 4))
+              * window(Fraction(-1, 8), 0, 8, 9),
               [Fraction(-1, 4), Fraction(1, 4)]),
              2, [0.0], [0.5], [-1.0017e-256])
     @example((mollifier(Fraction(-1, 4), Fraction(1, 4)).d(2),

@@ -7,8 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from bvfact.region import (Region, not_later, is_weiss_cover, Bump,
-                           mollifier, smoothstep, window, constant_one,
-                           partition_of_unity)
+                           mollifier, window, partition_of_unity)
 
 
 class TestRegion:
@@ -105,14 +104,14 @@ class TestBump:
         assert w(-2.0) == 0.0 and w(2.0) == 0.0
         assert 0 < w(0.75) < 1
 
-    def test_smoothstep_monotone_edges(self):
-        s = smoothstep(0, 1)
+    def test_window_rising_edge_monotone(self):
+        s = window(0, 1, 2, 3)
         assert s(-0.1) == 0.0 and s(1.1) == 1.0
         vals = [s(x / 10) for x in range(11)]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
-    def test_constant_one(self):
-        c = constant_one()
+    def test_window_plateau_is_flat(self):
+        c = window(0, 1, 200, 201)
         assert c(123.0) == 1.0 and c.deriv(5.0, 1) == 0.0
 
 
@@ -169,13 +168,13 @@ def _psis(n, lo=Fraction(0), hi=Fraction(1)):
 @st.composite
 def _leaves(draw):
     """(bump, support edges) of one bump built by `region`."""
-    kind = draw(st.sampled_from(["mollifier", "smoothstep", "window",
-                                 "psi-w"]))
+    kind = draw(st.sampled_from(["mollifier", "step", "window", "psi-w"]))
     c, r = draw(_QUARTERS), draw(_WIDTHS)
     if kind == "mollifier":
         return mollifier(c, r), [c - r, c + r]
-    if kind == "smoothstep":
-        return smoothstep(c, c + r), [c, c + r]
+    if kind == "step":
+        # a window whose plateau runs past every sampled point: a step up
+        return window(c, c + r, c + 8, c + 9), [c, c + r]
     if kind == "window":
         return window(c - r, c - r / 2, c + r / 2, c + r), [c - r, c + r]
     n = draw(st.sampled_from([2, 8]))
@@ -534,7 +533,7 @@ class TestExpInvTinyArgument:
     def test_subnormal_argument_makes_no_overflow_warning(self):
         # at t = 1e-310 the step's argument t is subnormal: -1/t would
         # overflow to -inf, where exp(-1/t) is 0.0 anyway
-        s = smoothstep(0, 1)
+        s = window(0, 1, 2, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             vals = s.values(np.array([1e-310, 0.5]), 1)

@@ -371,6 +371,56 @@ class TestSeriesOverQI:
         assert s.coeffs[(1, 0)].constant_part().to_complex() == 1j
 
 
+@st.composite
+def _series_pair(draw):
+    """A series and a constant series (possibly 0) at the same drawn
+    truncation orders, with QI coefficients at any (hbar, lam) power up to
+    them."""
+    orders = (draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+    keys = st.tuples(st.integers(0, orders[0]), st.integers(0, orders[1]))
+    series = FormalSeries(draw(st.dictionaries(keys, qi_values, max_size=6)),
+                          orders)
+    const = FormalSeries.const(draw(qi_values), orders)
+    return series, const
+
+
+def _convolution(a, b):
+    """The truncated product, coefficient pair by coefficient pair."""
+    acc = {}
+    for (p1, q1), c1 in a.coeffs.items():
+        for (p2, q2), c2 in b.coeffs.items():
+            pq = (p1 + p2, q1 + q2)
+            if pq[0] <= a.orders[0] and pq[1] <= a.orders[1]:
+                acc[pq] = acc.get(pq, 0) + c1 * c2
+    return {pq: c for pq, c in acc.items() if c}
+
+
+class TestScalarSeriesProducts:
+    # an int, a QI, 0 or a constant series scales coefficient by
+    # coefficient; the product must be the convolution's, orders included
+    @given(_series_pair(), st.integers(-7, 7), qi_values)
+    @settings(max_examples=100, deadline=None)
+    def test_match_the_convolution(self, pair, n, q):
+        series, const = pair
+        orders = series.orders
+        for other in (n, q, 0, const, FormalSeries(orders=orders)):
+            other_series = (other if isinstance(other, FormalSeries)
+                            else FormalSeries.const(other, orders))
+            want = _convolution(series, other_series)
+            for got in (series * other, other * series):
+                assert got.orders == orders
+                assert got.coeffs == want
+                assert all(type(c) is QI and c for c in got.coeffs.values())
+
+    def test_mismatched_orders_still_raise(self):
+        a = FormalSeries({(1, 0): 1}, (3, 2))
+        for b in (FormalSeries.const(2, (2, 2)), FormalSeries(orders=(3, 1))):
+            with pytest.raises(ValueError, match="incompatible truncation"):
+                a * b
+            with pytest.raises(ValueError, match="incompatible truncation"):
+                b * a
+
+
 class TestKoszulSign:
     @settings(max_examples=200, deadline=None)
     @given(st.permutations(range(5)), st.lists(st.booleans(), min_size=5,
