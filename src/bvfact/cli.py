@@ -487,7 +487,7 @@ def _eg(cfg, rng, orders, tol):
     f = mollifier(0, Fraction(1, 2))
     chi = standard_cutoff()
     val = extend(t1).pair(f)
-    oracle = sum(integrate(lambda x: (f(x) - f(0) * chi(x)) / x, [piece],
+    oracle = sum(integrate(lambda x: (f(x) - f(0) * chi(x)) / x, piece,
                            tol=1e-12) for piece in ((0, 0.5), (0.5, 1)))
     checks.append(_check("w-subtraction-oracle", abs(val - oracle) < 1e-9,
                          value=abs(val - oracle), tolerance=1e-9))
@@ -507,7 +507,7 @@ def _eg(cfg, rng, orders, tol):
     for j in range(2, 8):
         lam = 2.0 ** -j
         v = integrate(lambda x: t1(x) * probe(x / lam) / lam,
-                      [(0.5 * lam, 1.5 * lam)], tol=1e-12)
+                      (0.5 * lam, 1.5 * lam), tol=1e-12)
         rows.append([math.log(lam), math.log(abs(v))])
     curves["scaling_loglog"] = {"columns": ["log_scale", "log_pairing"],
                                 "rows": rows}

@@ -134,7 +134,7 @@ def scaling_degree(t, exact=True, tol=1e-9):
                        tol=tol) / lam
         else:
             v = integrate(lambda x: t(x) * probe(x / lam) / lam,
-                          [(0.5 * lam, 1.5 * lam)], tol=tol)
+                          (0.5 * lam, 1.5 * lam), tol=tol)
         if abs(v) < 1e-300:
             raise RegressionError("pairing vanished at scale %g" % lam)
         ys.append(math.log(abs(v)))
@@ -231,9 +231,9 @@ def _pair_subtracted(kernel, f, order, weights, chi, tol):
             sign = 1.0 if b > 0 else -1.0
             base += integrate(
                 lambda s: integrand(sign * s ** q) * q * s ** (q - 1),
-                [(0.0, abs(a + b) ** (1.0 / q))], tol=tol)
+                (0.0, abs(a + b) ** (1.0 / q)), tol=tol)
         else:
-            base += integrate(integrand, [(a, b)], tol=tol)
+            base += integrate(integrand, (a, b), tol=tol)
     if isinstance(base, complex) and not base.imag:
         base = base.real
     if order is not None and weights:

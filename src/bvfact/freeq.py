@@ -31,7 +31,6 @@ tprod contracts only F-legs with G-legs and fuses only when it emits a
 term, so it equals T(T^-1 F . T^-1 G).
 """
 
-import cmath
 import functools
 import math
 from fractions import Fraction
@@ -41,7 +40,7 @@ import numpy as np
 
 from .symexpr import I, FormalSeries, koszul_sign
 from .region import Bump, not_later, union_of
-from .quadrature import integrate
+from .quadrature import Grid, converge, integrate
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +69,8 @@ class OscillatorModel:
 
 
 class PropagatorKernel:
-    """Closed-form two-point kernel K(t, s) = k(t - s) for the model."""
+    """Closed-form two-point kernel K(t, s) = k(t - s) for the model, held as
+    its table of separable terms on either side of tau = 0."""
 
     def __init__(self, kind, omega):
         if kind not in KERNEL_KINDS:
@@ -78,86 +78,131 @@ class PropagatorKernel:
         self.kind = kind
         self.omega = float(omega)
 
-    def value(self, tau):
-        """k(tau) at a float, or at every point of an array of tau."""
+    def terms(self, side):
+        """k where the sign of tau is `side`, as separable terms: a list of
+        (c, fx, fy) with k(t_x - t_y) = sum c * fx(t_x) * fy(t_y) there, fx
+        and fy names of `_factor`."""
         w = self.omega
-        k = self.kind
-        if w == 0 and k in ("symmetric", "wightman", "feynman"):
-            raise ValueError("no %s vacuum kernel at omega = 0" % k)
-        if isinstance(tau, np.ndarray):
-            sin, cos, exp, where = np.sin, np.cos, np.exp, np.where
-        else:
-            tau = float(tau)
-            sin, cos, exp, where = math.sin, math.cos, cmath.exp, _pick
-        if k == "symmetric":
-            return cos(w * tau) / (2 * w)
-        if k == "wightman":
-            return exp(-1j * w * tau) / (2 * w)
-        if k == "feynman":
-            return exp(-1j * w * abs(tau)) / (2 * w)
-        pj = -sin(w * tau) / w if w else -tau
-        if k == "retarded":
-            return where(tau > 0, pj, 0.0)
-        if k == "advanced":
-            return where(tau < 0, -pj, 0.0)
-        return pj
+        if w == 0 and self.kind in ("symmetric", "wightman", "feynman"):
+            raise ValueError("no %s vacuum kernel at omega = 0" % self.kind)
+        return [(c / w if w else c, fx, fy)
+                for c, fx, fy in _SEPARABLE[self.kind][side < 0]]
+
+    def value(self, tau):
+        """k(tau) at a float, or at every point of an array of tau: the
+        terms of the side of tau at t_x = tau, t_y = 0."""
+        t = np.asarray(tau, dtype=float)
+        w = self.omega
+        sides = [sum(c * _factor(fx, w, t) * _factor(fy, w, 0.0)
+                     for c, fx, fy in self.terms(s)) for s in (1, -1)]
+        out = np.where(t > 0, *sides)
+        return out if isinstance(tau, np.ndarray) else out.item()
 
     def __repr__(self):
         return "PropagatorKernel(%r, omega=%g)" % (self.kind, self.omega)
 
 
-def _pick(cond, x, y):
-    return x if cond else y
+# each kind's kernel on tau > 0 and on tau < 0 as separable terms (c, fx, fy),
+# c/w fx(t_x) fy(t_y), by the addition theorems and e^{-i w tau} = e^{-i w
+# t_x} e^{i w t_y}; at w = 0 (Pauli-Jordan family only) sin(w t)/w is t
+_PJ = [(-1.0, "sin", "cos"), (1.0, "cos", "sin")]
+_SEPARABLE = {
+    "symmetric": ([(0.5, "cos", "cos"), (0.5, "sin", "sin")],) * 2,
+    "wightman": ([(0.5, "e-", "e+")],) * 2,
+    "feynman": ([(0.5, "e-", "e+")], [(0.5, "e+", "e-")]),
+    "pauli-jordan": (_PJ, _PJ),
+    "retarded": (_PJ, []),
+    "advanced": ([], [(-c, fx, fy) for c, fx, fy in _PJ]),
+}
+
+
+def _factor(name, w, t):
+    """A factor of `_SEPARABLE` at the points t; sin is t at w = 0."""
+    if name == "cos":
+        return np.cos(w * t)
+    if name == "sin":
+        return np.sin(w * t) if w else t
+    return np.exp((1j if name == "e+" else -1j) * w * t)
 
 
 def green(model: OscillatorModel, kind: str) -> PropagatorKernel:
     return PropagatorKernel(kind, model.omega)
 
 
-# kernels with a kink at tau = 0, and the side of it where they vanish: +1
-# for tau < 0, -1 for tau > 0, 0 for neither (a kink side of `integrate`)
-_KINKED = {"retarded": 1, "advanced": -1, "feynman": 0}
-
-
 def pair_kernel(kernel, f: Bump, g: Bump, tol=1e-10):
-    """<f (x) g, K> = int f(t) K(t,s) g(s) dt ds; pass `f.d(a)` to pair a
-    derivative.
-
-    A fixed-rule tensor quadrature (`bvfact.quadrature`) on supp f x supp g,
-    with the s-interval cut at s = t for kernels with a kink at 0, or ended
-    there for the retarded and advanced kernels.  Raises `QuadratureError`
-    if successive rules do not agree within max(tol, tol * |value|) before
-    the node cap.
-    """
-    return _pair(kernel, f, g, tol, f, g)
-
-
-def _pair(kernel, f, g, tol, ft, gs):
-    """int ft(t) K(t - s) gs(s) dt ds on supp f x supp g."""
-    fb, gb = f.support.bounds(), g.support.bounds()
-    if fb is None or gb is None:
-        return 0.0
-    return integrate(lambda t, s: ft(t) * kernel.value(t - s) * gs(s),
-                     [fb, gb], tol, [(0, 1, _KINKED[kernel.kind])]
-                     if kernel.kind in _KINKED else ())
+    """<f (x) g, K> = int f(t) K(t,s) g(s) dt ds, a two-vertex `_ordered`
+    sum; pass `f.d(a)` to pair a derivative."""
+    return _ordered([(f, f.support.bounds()), (g, g.support.bounds())],
+                    [(0, 1, kernel.kind)], kernel.omega, tol)
 
 
 def green_defect(model, f: Bump, g: Bump, tol=1e-9):
-    """| <P^T f (x) g, Delta^R> - int f g |, the weak Green-function defect."""
+    """| <P^T f (x) g, Delta^R> - int f g |, the weak Green-function defect:
+    an `_ordered` pairing (no term where t < s) and an `integrate` call."""
     def pf(t):  # P is formally self-adjoint: pair Delta^R with (P f)(t) g(s)
         v = f.values(t, 2)
         return -(2 * v[2] + model.omega ** 2 * v[0])
-    val = _pair(green(model, "retarded"), f, g, tol, pf, g)
+    val = _ordered([(pf, f.support.bounds()), (g, g.support.bounds())],
+                   [(0, 1, "retarded")], model.omega, tol)
     return abs(val - _overlap_integral(f, g, tol))
 
 
 def _overlap_integral(f: Bump, g: Bump, tol):
-    """int f g over supp f & supp g, on the fixed-rule path of `integrate`;
-    0.0 when the supports do not meet."""
+    """int f g over supp f & supp g, one `integrate` call; 0.0 when the
+    supports do not meet."""
     b = f.support.intersection(g.support).bounds()
-    if b is None:
+    return 0.0 if b is None else integrate(lambda t: f(t) * g(t), b, tol)
+
+
+def _ordered(factors, edges, omega, tol):
+    """int prod_i f_i(t_i) prod_(x, y, kind) k(t_x - t_y) over all t, for
+    `factors` (f_i, hull_i), f_i a function of a node array that vanishes
+    off its hull (lo_i, hi_i), or None, and kernel `edges` (x, y, kind).
+
+    A sum over the orderings t_s1 < ... < t_sk, in each of which every
+    kernel is one-sided, a sum of separable terms (`PropagatorKernel.terms`).
+    Each choice of one term per edge is k nested cumulative integrals on one
+    `Grid` that breaks at every support end, F_1 = cum(g_s1), F_j = cum(g_sj
+    F_{j-1}), value int g_sk F_{k-1}, with g_i the f_i times the terms'
+    factors at vertex i (taken at t less the middle of the grid); as in
+    `converge`, `QuadratureError` if the rules miss `tol`.
+    """
+    if any(hull is None for _, hull in factors):
         return 0.0
-    return integrate(lambda t: f(t) * g(t), [b], tol)
+    hulls = [(float(lo), float(hi)) for _, (lo, hi) in factors]
+    ends = sorted({e for hull in hulls for e in hull})
+    panels = [(a, b) for a, b in zip(ends, ends[1:])
+              if any(lo <= a and b <= hi for lo, hi in hulls)]
+    chains = []  # (coefficient, ordering, factor names at each vertex)
+    for order in permutations(range(len(factors))):
+        rows = [PropagatorKernel(kind, omega).terms(order.index(x)
+                                                    - order.index(y))
+                for x, y, kind in edges]
+        for choice in iproduct(*rows):
+            names = [[] for _ in factors]
+            for (x, y, _), (_, fx, fy) in zip(edges, choice):
+                names[x].append(fx)
+                names[y].append(fy)
+            chains.append((math.prod(c for c, _, _ in choice), order, names))
+    used = {name for _, _, names in chains for at in names for name in at}
+
+    def rule(n):
+        grid = Grid(panels, n)
+        vals = [f(grid.nodes) for f, _ in factors]
+        s = grid.nodes - (ends[0] + ends[-1]) / 2
+        fac = {name: _factor(name, omega, s) for name in used}
+        total = 0.0
+        for c, order, names in chains:
+            acc = c
+            for i in order:
+                acc = vals[i] * acc
+                for name in names[i]:
+                    acc = acc * fac[name]
+                if i != order[-1]:
+                    acc = grid.cumulative(acc)
+            total += grid.integral(acc)
+        return total
+    return converge(rule, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -575,50 +620,58 @@ def peierls(F: DiagramPoly, G: DiagramPoly) -> DiagramPoly:
 
 def eval_diagram(diag: Diagram, model: OscillatorModel, fields,
                  tol=1e-10) -> complex:
-    """Integral of the diagram over its vertex positions (up to 3 vertices).
-
-    A fixed-rule tensor quadrature (`bvfact.quadrature`) on the product of
-    the vertex supports, evaluated in chunks, with the inner intervals cut
-    where a Feynman edge has its kink and ended where a retarded or advanced
-    edge has its kink.  Raises `QuadratureError` if successive rules do not
-    agree within max(tol, tol * |value|) before the node cap.
+    """Integral of the diagram over its vertex positions: the product of the
+    values of the connected components of its kernel edges (`_fuse` has
+    applied the delta links), an edge from a vertex to itself being k(0).
+    A component of one vertex is one `integrate` call over its weight's
+    hull, one of two or three is an `_ordered` sum over its time orderings
+    (each to `tol`, or `QuadratureError`), and a larger one raises
+    `NotImplementedError`.
     """
     verts = diag.verts
-    n = len(verts)
-    if n == 0:
-        return 1.0 + 0.0j
-    if n > 3:
-        raise NotImplementedError("diagram evaluation supports <= 3 vertices")
-    kernels = {k: PropagatorKernel(k, model.omega) for k in
-               {e[2] for e in diag.edges}}
+    hulls = [None if v.w is None else v.w.support.bounds() for v in verts]
+    if None in hulls:
+        return 0.0
+    comps = _components(len(verts), diag.edges)
+    if max(map(len, comps), default=0) > 3:
+        raise NotImplementedError("diagram evaluation supports connected "
+                                  "components of at most 3 vertices")
+    value = complex(math.prod(PropagatorKernel(k, model.omega).value(0.0)
+                              for a, b, k, _ in diag.edges if a == b))
+    for comp in comps:
+        factors = [(functools.partial(_vertex_factor, verts[i], model,
+                                      fields), hulls[i]) for i in comp]
+        if len(comp) == 1:
+            value *= integrate(*factors[0], tol)
+            continue
+        at = {v: i for i, v in enumerate(comp)}
+        edges = [(at[a], at[b], kind) if o > 0 else (at[b], at[a], kind)
+                 for a, b, kind, o in diag.edges if a != b and a in at]
+        value *= _ordered(factors, edges, model.omega, tol)
+    return complex(value)
 
-    def vertex_factor(v, t):
-        out = v.w(t)
-        if v.u:
-            out = out * fields["u"].jet(t, (0,)) ** v.u
-        if v.p:
-            out = out * model.p_apply(fields["u"], t) ** v.p
-        if v.au:
-            out = out * fields["u~"].jet(t, (0,)) ** v.au
-        return out
 
-    def integrand(*ts):
-        val = 1.0
-        for v, t in zip(verts, ts):
-            val = val * vertex_factor(v, t)
-        for a, b, k, o in diag.edges:
-            val = val * kernels[k].value(o * (ts[a] - ts[b]))
-        return val
+def _components(n, edges):
+    """The vertex lists of the connected components of the edges."""
+    comps = [[i] for i in range(n)]
+    for a, b, *_ in edges:
+        ca, cb = (next(c for c in comps if v in c) for v in (a, b))
+        if ca is not cb:
+            comps.remove(cb)
+            ca.extend(cb)
+    return comps
 
-    bounds = []
-    for v in verts:
-        b = None if v.w is None else v.w.support.bounds()
-        if b is None:
-            return 0.0
-        bounds.append(b)
-    kinks = [(a, b, _KINKED[k] * o) for a, b, k, o in diag.edges
-             if k in _KINKED]
-    return complex(integrate(integrand, bounds, tol, kinks))
+
+def _vertex_factor(v, model, fields, t):
+    """A vertex's weight times its legs' field values at the points t."""
+    out = v.w(t)
+    if v.u:
+        out = out * fields["u"].jet(t, (0,)) ** v.u
+    if v.p:
+        out = out * model.p_apply(fields["u"], t) ** v.p
+    if v.au:
+        out = out * fields["u~"].jet(t, (0,)) ** v.au
+    return out
 
 
 def eval_poly(P: DiagramPoly, model, fields, tol=1e-10):

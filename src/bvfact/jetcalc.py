@@ -469,7 +469,7 @@ def evaluate_local(lagform: LagForm, weight, fields, tol=1e-10):
     # numpy loads with the quadrature, and only the numeric path needs it
     from .quadrature import integrate
     val = integrate(lambda t: _density_value(density, t, fields) * weight(t),
-                    [hull], tol=tol)
+                    hull, tol=tol)
     return val.real if isinstance(val, complex) and not val.imag else val
 
 

@@ -1,54 +1,32 @@
-"""Fixed-rule quadrature on boxes, for smooth integrands with known kinks.
+"""Fixed-rule Gauss-Legendre quadrature on one axis, and cumulative integrals
+on a composite grid: the one integrator of the package.
 
-This is the one integrator of the package: it serves the `freeq` pairings
-and diagrams, the `egren` pairings, `jetcalc.evaluate_local` and the CLI.
-A box is a list of (lo, hi) pairs, one per axis; the callers take each from
-the hull of a bump's support (`Region.bounds()`, one pair), so a one-axis
-box over it is [hull].  `egren` cuts its intervals at 0 and at the edges of
-supp f, and on the pieces that touch 0 integrates a kernel of degree k/q in
-s = |x|^(1/q), where the endpoint singularity x^(k/q) becomes smooth.
+`integrate(func, (lo, hi), tol)` calls `func` on one array of nodes, for
+`egren` (which integrates a kernel of degree k/q in s = |x|^(1/q) on the
+pieces that touch 0), `jetcalc.evaluate_local`, the CLI and the one-vertex
+integrals of `freeq`.  A `Grid` puts an n-point rule on each of its panels
+and serves `freeq`'s nested integrals over vertex time orderings: at every
+node t it gives F(t), the integral over the panels up to t, from the values
+at the nodes.  On a panel F is the earlier panels' integral plus the
+half-width times S f, with S the Legendre integration matrix, S[j, m] =
+int_{-1}^{x_j} l_m for the Lagrange basis l_m of the nodes (Greengard, SIAM
+J. Numer. Anal. 28 (1991) 1071-1080): exact for a polynomial of degree < n.
 
-An integral over the box prod_l [lo_l, hi_l] is taken with an n-point
-Gauss-Legendre rule on every axis (a tensor rule).  n doubles until two
-successive rules agree,
+Both run one doubling loop, `converge`: n doubles from `N_START` until
 
     |Q_n - Q_2n| <= max(tol, tol * |Q_2n|),
 
-and Q_2n is returned.  A rule that would exceed the node cap raises
-`QuadratureError` instead; an unconverged value is never returned.
-
-The integrand `func(x_0, ..., x_{d-1})` is called on arrays shaped to
-broadcast against each other: x_l has l + 1 dimensions, its last one running
-over axis l's nodes, and its leading ones over the outer axes' nodes (they
-are 1 where axis l's nodes do not depend on them).  So a factor that depends
-on x_0 alone is computed once per x_0 node.  Complex integrands are summed in
-one pass.
-
-A kink (a, b) says that the integrand is not smooth across the diagonal
-x_a = x_b (a kernel in x_b - x_a with a kink at 0).  With a < b, axis b's
-interval is then cut at x_a for every node of the outer axes, and the rule
-runs on each piece.  Integrating out an inner axis that is kinked against
-two outer axes leaves a (two-sided) kink between those two, so the cuts are
-closed under that rule.  A one-sided kink (a, b, +1) says moreover that the
-integrand is 0 where x_b > x_a, and (a, b, -1) where x_b < x_a (a retarded
-or advanced kernel): axis b's interval then ends (starts) at x_a, and the
-box is first trimmed to where that leaves something, 0.0 if nowhere.  A kink
-whose diagonal misses the interior of the trimmed box is dropped: its cut
-would sit at an end of the interval at every node.
-
-Outer nodes are processed in chunks, so memory stays bounded whatever the
-number of points.
+and Q_2n is returned; where 2n would pass `N_MAX`, `QuadratureError` is
+raised instead, so an unconverged value is never returned.
 """
 
 import numpy as np
 
 
 class QuadratureError(RuntimeError):
-    """A numeric integral that did not converge to its tolerance.
-
-    `estimate` is the last value computed, `error` the last difference
-    |Q_n - Q_2n| and `nodes` the n of the larger rule.
-    """
+    """A numeric integral that did not converge to its tolerance: `estimate`
+    is the last value, `error` the last |Q_n - Q_2n| and `nodes` the n of
+    the larger rule."""
 
     def __init__(self, message, estimate=None, error=None, nodes=None):
         super().__init__(message)
@@ -57,21 +35,16 @@ class QuadratureError(RuntimeError):
         self.nodes = nodes
 
 
-N_START = 32           # nodes per axis and piece of the first rule
-N_MAX = 1024           # cap on the nodes per axis and piece
-MAX_POINTS = 1 << 24   # cap on the integrand points of one rule
-CHUNK_POINTS = 1 << 13  # integrand points evaluated at once
+N_START = 32   # nodes of the first rule, per panel of a grid
+N_MAX = 1024   # cap on the nodes per panel
 
 _RULES = {}
+_MATRICES = {}
 
 
 def _rule(n):
-    """Gauss-Legendre nodes and weights on [-1, 1], in increasing order.
-
-    The nodes are the roots of P_n, found by Newton's method from the
-    asymptotic guesses cos(pi (k - 1/4) / (n + 1/2)); the three-term
-    recurrence needs O(n) memory, where an eigenvalue solve needs O(n^2).
-    """
+    """Gauss-Legendre nodes and weights on [-1, 1], in increasing order: the
+    roots of P_n by Newton's method from cos(pi (k - 1/4) / (n + 1/2))."""
     rule = _RULES.get(n)
     if rule is None:
         x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
@@ -91,33 +64,44 @@ def _rule(n):
 
 
 def _legendre(n, x):
-    """P_n(x) and P_n'(x)."""
+    """P_n(x) and P_n'(x), in O(n) memory."""
     p0, p1 = np.ones_like(x), x
     for j in range(2, n + 1):
         p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
     return p1, n * (x * p1 - p0) / ((x - 1) * (x + 1))
 
 
-def integrate(func, bounds, tol=1e-10, kinks=()):
-    """Integral of `func` over the box `bounds`, a list of (lo, hi) pairs,
-    one per axis, with `kinks` (a, b) or (a, b, side) as in the module
-    docstring.
+def _integration_matrix(n):
+    """S transposed, then the weights (the integral to x = 1) as a last
+    column, once per n: l_m = sum_k (k + 1/2) w_m P_k(x_m) P_k, and
+    int_{-1}^x P_k = (P_{k+1} - P_{k-1})(x) / (2k + 1), x + 1 for k = 0."""
+    st = _MATRICES.get(n)
+    if st is None:
+        x, w = _rule(n)
+        x1 = np.append(x, 1.0)
+        p = np.empty((n + 1, n + 1))  # p[k, j] = P_k(x1_j)
+        p[0], p[1] = 1.0, x1
+        for k in range(2, n + 1):
+            p[k] = ((2 * k - 1) * x1 * p[k - 1] - (k - 1) * p[k - 2]) / k
+        q = np.empty((n, n + 1))  # q[k, j] = (k + 1/2) int_{-1}^{x1_j} P_k
+        q[0], q[1:] = x1 + 1, p[2:]
+        q[1:] -= p[:-2]
+        q *= 0.5
+        p[:n, :n] *= w  # in place, for the peak memory: p is spent
+        st = np.einsum("km,kj->mj", p[:n, :n], q)
+        st.flags.writeable = False
+        _MATRICES[n] = st
+    return st
 
-    Returns a float for a real integrand and a complex for a complex one.
-    Raises `QuadratureError` when the rules reach the node cap before two
-    successive results agree within max(tol, tol * |value|).
-    """
-    bounds, cuts = _cuts([(float(lo), float(hi)) for lo, hi in bounds], kinks)
-    if bounds is None:
-        return 0.0
-    pieces = 1
-    for c in cuts:
-        pieces *= len(c[0]) + 1
+
+def converge(rule, tol):
+    """Q_2n of the first rules Q_n = `rule(n)` and Q_2n that agree within
+    max(tol, tol * |Q_2n|); `QuadratureError` at the node cap."""
     n = N_START
-    prev = _apply(func, bounds, cuts, n)
+    prev = rule(n)
     err = None
-    while 2 * n <= N_MAX and pieces * (2 * n) ** len(bounds) <= MAX_POINTS:
-        cur = _apply(func, bounds, cuts, 2 * n)
+    while 2 * n <= N_MAX:
+        cur = rule(2 * n)
         err = abs(cur - prev)
         if err <= max(tol, tol * abs(cur)):
             return cur
@@ -128,90 +112,50 @@ def integrate(func, bounds, tol=1e-10, kinks=()):
         estimate=prev, error=err, nodes=n)
 
 
-def _cuts(bounds, kinks):
-    """The box trimmed by the one-sided kinks, and per axis b three lists of
-    outer axes a: at x_a its interval is cut, ends and starts.  (None, None)
-    when the trimmed box is empty."""
-    # (a, b, side) with a < b, side 0 for a two-sided kink
-    norm = {(min(a, b), max(a, b), (s[0] if s else 0) * (1 if a < b else -1))
-            for a, b, *s in kinks if a != b}
-    lo, hi = map(list, zip(*bounds))
-    for _ in bounds:  # trim to x_b <= x_a for side +1, x_a <= x_b for -1
-        for p, q in [(b, a) if s > 0 else (a, b) for a, b, s in norm if s]:
-            lo[q], hi[p] = max(lo[q], lo[p]), min(hi[p], hi[q])
-    if any(l >= h for l, h in zip(lo, hi)):
-        return None, None
-
-    def meets(a, b):  # the diagonal x_a = x_b crosses the box interior
-        return lo[a] < hi[b] and lo[b] < hi[a]
-    norm = {k for k in norm if meets(k[0], k[1])}
-    sided = {k[:2] for k in norm if k[2]}
-    for b in range(len(bounds) - 1, 0, -1):
-        outer = sorted({a for a, c, _ in norm if c == b})
-        norm.update((x, y, 0) for i, x in enumerate(outer)
-                    for y in outer[i + 1:] if meets(x, y))
-    cuts = [([], [], []) for _ in bounds]
-    for a, b, side in sorted(norm):
-        if side or (a, b) not in sided:
-            cuts[b][side].append(a)  # side -1 indexes the last list
-    return list(zip(lo, hi)), cuts
-
-
-def _apply(func, bounds, cuts, n):
-    x, w = _rule(n)
-    d = len(bounds)
-    lo, hi = bounds[0]
+def integrate(func, bounds, tol=1e-10):
+    """Integral of `func` over the interval `bounds` = (lo, hi), a float for
+    a real integrand and a complex for a complex one."""
+    lo, hi = float(bounds[0]), float(bounds[1])
     half = 0.5 * (hi - lo)
-    x0 = 0.5 * (lo + hi) + half * x
-    w0 = half * w
-    inner = 1
-    for c in cuts[1:]:
-        inner *= n * (len(c[0]) + 1)
-    step = max(1, CHUNK_POINTS // inner)
-    total = 0.0
-    for start in range(0, n, step):
-        xs = [x0[start:start + step]]
-        ws = [w0[start:start + step]]
-        for axis in range(1, d):
-            nodes, weights = _axis(bounds[axis], [[xs[a] for a in c]
-                                                  for c in cuts[axis]],
-                                   axis, x, w)
-            xs.append(nodes)
-            ws.append(weights)
-        # pad every axis's arrays with trailing unit dimensions to rank d
-        xs = [a.reshape(a.shape + (1,) * (d - 1 - l))
-              for l, a in enumerate(xs)]
-        weight = ws[0].reshape(ws[0].shape + (1,) * (d - 1))
-        for l in range(1, d):
-            weight = weight * ws[l].reshape(ws[l].shape + (1,) * (d - 1 - l))
-        total = total + np.sum(func(*xs) * weight)
-    if np.iscomplexobj(total):
-        return complex(total)
-    return float(total)
+
+    def rule(n):
+        x, w = _rule(n)
+        return _scalar(np.sum(func(0.5 * (lo + hi) + half * x) * (half * w)))
+    return converge(rule, tol)
 
 
-def _axis(bound, outer, axis, x, w):
-    """Nodes and weights of one inner axis at the outer nodes `outer` (lists
-    of arrays of rank <= axis at which its interval is cut, ends and starts,
-    as from `_cuts`): arrays of rank axis + 1."""
-    lo, hi = bound
-    cut, above, below = outer
-    ends = [a.reshape(a.shape + (1,) * (axis - a.ndim))
-            for a in cut + above + below]
-    if not ends:
-        half = 0.5 * (hi - lo)
-        shape = (1,) * axis + (-1,)
-        return ((0.5 * (lo + hi) + half * x).reshape(shape),
-                (half * w).reshape(shape))
-    # one column per outer array, one row per outer point
-    ends = np.stack(np.broadcast_arrays(*ends), axis=-1)
-    k, m = len(cut), len(cut) + len(above)
-    start = np.max(ends[..., m:], axis=-1, keepdims=True, initial=lo)
-    end = np.min(ends[..., k:m], axis=-1, keepdims=True, initial=hi)
-    end = np.maximum(end, start)
-    ends = np.concatenate([start, np.sort(np.clip(ends[..., :k], start, end),
-                                          axis=-1), end], axis=-1)
-    half = 0.5 * np.diff(ends, axis=-1)[..., None]
-    mid = 0.5 * (ends[..., 1:] + ends[..., :-1])[..., None]
-    shape = ends.shape[:-1] + (-1,)
-    return (mid + half * x).reshape(shape), (half * w).reshape(shape)
+def _scalar(v):
+    return complex(v) if np.iscomplexobj(v) else float(v)
+
+
+class Grid:
+    """An n-point Gauss-Legendre rule on each panel, the panels (a, b) in
+    increasing order; `nodes` run over the panels in turn."""
+
+    def __init__(self, panels, n):
+        ends = np.array(panels, dtype=float)
+        x, w = _rule(n)
+        self.n = n
+        self._half = 0.5 * (ends[:, 1] - ends[:, 0])
+        mid = 0.5 * (ends[:, 1] + ends[:, 0])
+        self.nodes = (mid[:, None] + self._half[:, None] * x).ravel()
+        self.weights = (self._half[:, None] * w).ravel()
+
+    def integral(self, values):
+        """The integral over the panels, from the values at the nodes."""
+        return _scalar(np.sum(values * self.weights))
+
+    def cumulative(self, values):
+        """F(t) = int over the panels up to t, at every node t (last axis),
+        from the values at the nodes."""
+        if values.dtype.kind == "c":
+            re, im = self.cumulative(np.stack([values.real, values.imag]))
+            return re + 1j * im
+        v = values.reshape(values.shape[:-1] + (-1, self.n))
+        # einsum, not BLAS: the products are small, and BLAS's first call
+        # costs more memory than a whole evaluation
+        out = np.einsum("...pm,mj->...pj", v, _integration_matrix(self.n))
+        out *= self._half[:, None]
+        whole = out[..., -1]
+        before = np.cumsum(whole, axis=-1) - whole
+        return (out[..., :-1] + before[..., None]).reshape(values.shape)

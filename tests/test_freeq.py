@@ -56,27 +56,30 @@ class TestKernels:
             green(m0, "feynman").value(1.0)
 
     def test_wightman_positivity(self):
+        # the Gram form of W(tau) = e^{-i w tau}/(2w) in closed form:
+        # sum conj(z_i) z_j <b_i (x) b_j, W>
+        #     = |sum_j z_j int b_j(s) e^{i w s} ds|^2 / (2w)
         from scipy.integrate import quad
         W = green(MODEL, "wightman")
+        w = MODEL.omega
         rng = random.Random(5)
         for _ in range(4):
             terms = [(mollifier(Fraction(rng.randint(-2, 2), 2),
                                 Fraction(1, 2)),
                       complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
                      for _ in range(2)]
-
-            def fc(t):
-                return sum(z * b(t) for b, z in terms)
-            lo = min(float(b.support.bounds()[0]) for b, _ in terms)
-            hi = max(float(b.support.bounds()[1]) for b, _ in terms)
-
-            def outer(t):
-                v, _ = quad(lambda s: (fc(t).conjugate() * W.value(t - s)
-                                       * fc(s)).real, lo, hi,
-                            epsabs=1e-10, epsrel=1e-10, limit=150)
-                return v
-            val, _ = quad(outer, lo, hi, epsabs=1e-9, epsrel=1e-9, limit=150)
-            assert val >= -1e-10
+            form = sum(zi.conjugate() * zj * pair_kernel(W, bi, bj)
+                       for bi, zi in terms for bj, zj in terms)
+            fourier = 0j
+            for b, z in terms:
+                lo, hi = map(float, b.support.bounds())
+                re, _ = quad(lambda s: b(s) * math.cos(w * s), lo, hi,
+                             epsabs=1e-13, epsrel=1e-13)
+                im, _ = quad(lambda s: b(s) * math.sin(w * s), lo, hi,
+                             epsabs=1e-13, epsrel=1e-13)
+                fourier += z * complex(re, im)
+            assert abs(form - abs(fourier) ** 2 / (2 * w)) < 1e-10
+            assert form.real >= -1e-10
 
 
 class TestStarProduct:
@@ -150,6 +153,67 @@ class TestCausalFactorization:
         later = field_obs(G_BUMP, power=2)
         rep = causal_check(later, later, MODEL, [], tol=1e-8)
         assert rep.skipped
+
+
+    def test_incomparable_supports_raise(self):
+        from bvfact.freeq import IncomparableSupports, causal_check
+        F = field_obs(F_BUMP)                                   # (0, 1)
+        G = field_obs(mollifier(Fraction(3, 4), Fraction(1, 2)))  # (1/4, 5/4)
+        for A, B in ((F, G), (G, F)):
+            with pytest.raises(IncomparableSupports,
+                               match="not causally ordered"):
+                causal_check(A, B, MODEL, self.FIELDS)
+
+    def test_simultaneous_supports_skipped(self):
+        # a constant has empty support, both earlier and later than any
+        from bvfact.freeq import causal_check
+        for A, B in ((unit(), field_obs(G_BUMP)), (field_obs(G_BUMP),
+                                                   unit())):
+            rep = causal_check(A, B, MODEL, self.FIELDS)
+            assert rep.skipped and "simultaneous" in rep.note
+
+    def test_violation_raises(self, monkeypatch):
+        # with the time-ordered product swapped for the star product in the
+        # wrong order, the commutator i hbar {F, G} is the deviation
+        from bvfact import freeq
+        monkeypatch.setattr(freeq, "tprod", lambda F, G: star(G, F))
+        with pytest.raises(AssertionError,
+                           match="causal factorization violated"):
+            freeq.causal_check(field_obs(G_BUMP), field_obs(F_BUMP), MODEL,
+                               self.FIELDS, tol=1e-8)
+
+
+class TestComponents:
+    def test_four_disjoint_mollifiers(self):
+        # star(F, G) has diagrams of 4 vertices; each factorizes into
+        # one-vertex integrals U and Wightman pairings W
+        f, g, h, k = (mollifier(c, Fraction(1, 4)) for c in range(4))
+        fields = {"u": Poly1D([0.7, 0.1])}
+        F = field_obs(f) * field_obs(g)
+        G = field_obs(h) * field_obs(k)
+        got = eval_poly(star(F, G), MODEL, fields)
+        U = {b: eval_poly(field_obs(b), MODEL, fields)[(0, 0)]
+             for b in (f, g, h, k)}
+        W = {(a, b): pair_kernel(green(MODEL, "wightman"), a, b)
+             for a in (f, g) for b in (h, k)}
+        want = {(0, 0): U[f] * U[g] * U[h] * U[k],
+                (1, 0): (W[f, h] * U[g] * U[k] + W[f, k] * U[g] * U[h]
+                         + W[g, h] * U[f] * U[k] + W[g, k] * U[f] * U[h]),
+                (2, 0): W[f, h] * W[g, k] + W[f, k] * W[g, h]}
+        assert set(got) == set(want)
+        for order, v in want.items():
+            assert abs(got[order] - v) <= 1e-10 * max(1, abs(v))
+
+    def test_on_shell_p_legs_vanish(self):
+        # (Pu) = -(u'' + w^2 u) = 0 on a solution
+        f = mollifier(Fraction(1, 4), Fraction(1, 2))
+        P = delta_s0(field_obs(f, power=1, afpower=1))
+        assert not P.is_zero()
+        for a, b in ((1.0, 0.0), (0.3, -0.8)):
+            vals = eval_poly(P, MODEL, {"u": Harmonic1D(a, b, w=1)})
+            assert all(abs(v) < 1e-12 for v in vals.values())
+            off = eval_poly(P, MODEL, {"u": Harmonic1D(a, b, w=2)})
+            assert any(abs(v) > 1e-3 for v in off.values())
 
 
 def battery(rng, n=10):
@@ -356,21 +420,27 @@ class TestPMarkedContractions:
 class TestGreenDefectWork:
     @pytest.mark.parametrize("k", range(-8, 9, 4))
     def test_integrand_points(self, k, monkeypatch):
-        # the shapes of the benchmark's green-defect check: one pairing
-        # that integrates only where Delta^R lives, and one overlap integral
-        from bvfact import freeq, quadrature
+        # the shapes of the benchmark's green-defect check: one pairing, a
+        # cumulative integral on the grid over supp f and supp g, and one
+        # overlap integral; every point at which a factor is evaluated
+        from bvfact import freeq
         import numpy as np
         points = []
 
-        def counted(func, *args, **kw):
-            def probe(*xs):
-                points.append(np.broadcast(*xs).size)
-                return func(*xs)
-            return quadrature.integrate(probe, *args, **kw)
-
-        monkeypatch.setattr(freeq, "integrate", counted)
+        def probe(func):
+            def counted(t):
+                points.append(np.size(t))
+                return func(t)
+            return counted
+        integrate, ordered = freeq.integrate, freeq._ordered
+        monkeypatch.setattr(freeq, "integrate", lambda func, *args, **kw:
+                            integrate(probe(func), *args, **kw))
+        monkeypatch.setattr(freeq, "_ordered", lambda factors, *args, **kw:
+                            ordered([(probe(f), hull) for f, hull in factors],
+                                    *args, **kw))
         shift = Fraction(k, 16)
         f = mollifier(shift, Fraction(1, 2))
         g = mollifier(shift + Fraction(1, 4), Fraction(1, 4))
         assert green_defect(MODEL, f, g, tol=1e-8) < 1e-8
-        assert sum(points) <= 30000
+        # the tensor rule took up to 30,000 points here; the grid takes 992
+        assert sum(points) <= 2000

@@ -1,7 +1,9 @@
 """Array evaluation of bumps and kernels, and the fixed-rule quadrature:
 bumps against a scalar Taylor-series reference, broadcast kernels against
 their closed forms, pairings against closed forms in the transforms
-int f cos(wt) and int f sin(wt), and the non-convergence contract."""
+int f cos(wt) and int f sin(wt), the non-convergence contract, the
+composite grid's cumulative integrals, the kernels' separable tables, and
+the ordered diagram evaluator against the tensor rule of `tensor_rule`."""
 
 import cmath
 import math
@@ -15,11 +17,12 @@ from scipy.integrate import quad
 
 from bvfact import jetcalc, quadrature
 from bvfact.freeq import (KERNEL_KINDS, Diagram, OscillatorModel,
-                          PropagatorKernel, Vertex, eval_diagram, green,
-                          pair_kernel)
-from bvfact.numfields import Poly1D
+                          PropagatorKernel, Vertex, _factor, eval_diagram,
+                          green, pair_kernel)
+from bvfact.numfields import Harmonic1D, Poly1D
 from bvfact.quadrature import QuadratureError, integrate
 from bvfact.region import Region, mollifier, partition_of_unity, window
+from tensor_rule import tensor_integrate
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +279,23 @@ class TestConvergenceContract:
             calls.append(x.size)
             return np.where(x < 0.1, 1.0, 0.0)
         with pytest.raises(QuadratureError) as info:
-            integrate(step, [(-1.0, 1.0)], tol=1e-14)
+            integrate(step, (-1.0, 1.0), tol=1e-14)
         err = info.value
         assert err.error > 1e-14 and err.nodes == quadrature.N_MAX
         assert abs(err.estimate - 1.1) < 1e-2
         assert calls[-1] == quadrature.N_MAX
 
     def test_smooth_integrand_converges(self):
-        v = integrate(lambda t, s: np.exp(-(t - s) ** 2), [(0, 1), (0, 1)],
-                      tol=1e-13, kinks=[(0, 1)])
+        v = integrate(lambda t: np.exp(-t * t), (0, 1), tol=1e-13)
+        assert abs(v - math.sqrt(math.pi) / 2 * math.erf(1)) < 1e-13
+        # the reference rule of the ordered evaluator, on a kernel of t - s
+        v = tensor_integrate(lambda t, s: np.exp(-(t - s) ** 2),
+                             [(0, 1), (0, 1)], tol=1e-13)
         exact = math.sqrt(math.pi) * math.erf(1) + math.exp(-1) - 1
         assert abs(v - exact) < 1e-13
 
     def test_complex_in_one_pass(self):
-        v = integrate(lambda t: np.exp(1j * t), [(0, math.pi)], tol=1e-13)
+        v = integrate(lambda t: np.exp(1j * t), (0, math.pi), tol=1e-13)
         assert isinstance(v, complex) and abs(v - 2j) < 1e-13
 
     def test_jetcalc_reexports(self):
@@ -297,102 +303,165 @@ class TestConvergenceContract:
 
 
 # ---------------------------------------------------------------------------
-# One-sided and dropped kinks
+# The composite grid and the ordered evaluator
 # ---------------------------------------------------------------------------
 
-_GRID = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+class TestCompositeGrid:
+    PANELS = [(-1.0, -0.25), (-0.25, 0.5), (1.5, 2.0)]  # a gap at (0.5, 1.5)
+
+    @pytest.mark.parametrize("n", [4, 32, 64])
+    def test_cumulative_exact_on_polynomials(self, n):
+        grid = quadrature.Grid(self.PANELS, n)
+        t = grid.nodes
+        for k in (1, 2, n):
+            # f = d/dt (t/2)^k, of degree k - 1 < n, is 0 in the gap
+            def prim(x):
+                return (x / 2) ** k - (-0.5) ** k
+            gap = prim(1.5) - prim(0.5)
+            f = k / 2 * (t / 2) ** (k - 1)
+            want = np.where(t < 1, prim(t), prim(t) - gap)
+            assert np.max(np.abs(grid.cumulative(f) - want)) < 1e-13
+            assert abs(grid.integral(f) - (prim(2.0) - gap)) < 1e-13
+
+    def test_cumulative_of_an_oscillation(self):
+        grid = quadrature.Grid(self.PANELS, 32)
+        t = grid.nodes
+        got = grid.cumulative(np.exp(3j * t))
+        prim = np.exp(3j * t) / 3j - np.exp(-3j) / 3j
+        gap = (np.exp(4.5j) - np.exp(1.5j)) / 3j
+        assert np.max(np.abs(got - np.where(t < 1, prim, prim - gap))) < 1e-13
+
+
+_MASSLESS = ("retarded", "advanced", "pauli-jordan")
+
+
+class TestSeparableTables:
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("w", [0.0, 0.5, 1.0, 2.0])
+    def test_terms_sum_to_the_kernel(self, kind, w):
+        if w == 0 and kind not in _MASSLESS:
+            with pytest.raises(ValueError, match="vacuum kernel"):
+                PropagatorKernel(kind, w).terms(1)
+            return
+        k = PropagatorKernel(kind, w)
+        rng = np.random.default_rng(7)
+        tx, ty = rng.uniform(-3, 3, (2, 200))
+        tau = tx - ty
+        for side in (1, -1):
+            total = sum(c * _factor(fx, w, tx) * _factor(fy, w, ty)
+                        for c, fx, fy in k.terms(side))
+            want = np.where(side * tau > 0, k.value(tau), 0.0)
+            got = np.where(side * tau > 0, total, 0.0)
+            assert np.max(np.abs(got - want)) < 1e-13
+
+
+def _reference(diag, model, fields, tol):
+    """The diagram's integral by the tensor rule of `tensor_rule`, with the
+    closed-form kernels of `PropagatorKernel.value`."""
+    kernels = {k: PropagatorKernel(k, model.omega) for _, _, k, _ in
+               diag.edges}
+
+    def factor(v, t):
+        out = v.w(t)
+        if v.u:
+            out = out * fields["u"].jet(t, (0,)) ** v.u
+        if v.p:
+            out = out * -(fields["u"].jet(t, (2,)) + model.omega ** 2
+                          * fields["u"].jet(t, (0,))) ** v.p
+        if v.au:
+            out = out * fields["u~"].jet(t, (0,)) ** v.au
+        return out
+
+    def func(*ts):
+        val = 1.0
+        for v, t in zip(diag.verts, ts):
+            val = val * factor(v, t)
+        for a, b, k, o in diag.edges:
+            val = val * kernels[k].value(o * (ts[a] - ts[b]))
+        return val
+    return tensor_integrate(func, [v.w.support.bounds() for v in diag.verts],
+                            tol)
+
+
+_CENTRES = st.integers(-4, 4).map(lambda k: Fraction(k, 4))
+_SMALL_RADII = st.sampled_from([Fraction(1, 4), Fraction(1, 2)])
 
 
 @st.composite
-def _boxes(draw, d):
-    """Intervals on a coarse grid, so that two axes overlap, nest, touch or
-    are disjoint, in either order."""
-    return [tuple(sorted(draw(st.lists(_GRID, min_size=2, max_size=2,
-                                       unique=True)))) for _ in range(d)]
+def _diagrams(draw):
+    """(diagram, omega, fields): 2 or 3 vertices with u, u~ and (Pu) legs
+    on mollifiers whose supports overlap, touch, nest or are disjoint;
+    kernel edges of every kind in both orientations, two of them at most
+    between a pair of vertices; omega = 0 only for the Pauli-Jordan family;
+    polynomial or harmonic fields."""
+    n = draw(st.sampled_from([2, 3]))
+    omega = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    kinds = _MASSLESS if omega == 0 else KERNEL_KINDS
+    verts = [Vertex(u=draw(st.integers(0, 2)), au=draw(st.integers(0, 1)),
+                    p=draw(st.integers(0, 1)),
+                    w=mollifier(draw(_CENTRES), draw(_SMALL_RADII)))
+             for _ in range(n)]
+    edges = []
+    for a, b in [(0, 1)] if n == 2 else [(0, 1), (0, 2), (1, 2)]:
+        for _ in range(draw(st.integers(1, 2) if n == 2 else
+                            st.integers(0, 1))):
+            edges.append((a, b, draw(st.sampled_from(kinds)),
+                          draw(st.sampled_from([1, -1]))))
+    coeffs = st.floats(-1.5, 1.5, allow_nan=False)
+
+    def field():
+        if draw(st.booleans()):
+            return Poly1D([draw(coeffs) for _ in range(3)])
+        return Harmonic1D(draw(coeffs), draw(coeffs),
+                          draw(st.sampled_from([0.5, 1.0, 2.0])))
+    return Diagram(verts, edges), omega, {"u": field(), "u~": field()}
 
 
-@st.composite
-def _kinked_boxes(draw):
-    """(bounds, kinks) in 2-D or 3-D: every pair of axes is unkinked or has
-    a kink (a, b), (a, b, 0), (a, b, +1) or (a, b, -1), in either order."""
-    d = draw(st.sampled_from([2, 3]))
-    kinks = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            side = draw(st.sampled_from([None, None, 0, 1, -1]))
-            if side is None:
-                continue
-            if draw(st.booleans()):
-                a, b, side = b, a, -side
-            kinks.append((a, b) if side == 0 and draw(st.booleans())
-                         else (a, b, side))
-    return draw(_boxes(d)), kinks
+class TestOrderedEvaluator:
+    TOL = 1e-8
 
-
-def _kinked_func(bounds, kinks):
-    """A test integrand: at most 1 on the box, vanishing to order 8 at its
-    faces, with a kink |x_a - x_b| at every kink diagonal, and 0 on the
-    forbidden side of every one-sided kink."""
-    def func(*xs):
-        v = 1.0
-        for x, (lo, hi) in zip(xs, bounds):
-            r = 0.5 * (hi - lo)
-            v = v * ((x - lo) * (hi - x) / (r * r)) ** 8 * np.exp(0.3 * x)
-        for a, b, *side in kinks:
-            v = v * (1 + np.abs(xs[a] - xs[b]))
-            if side and side[0]:
-                v = v * (side[0] * (xs[b] - xs[a]) <= 0)
-        return v
-    return func
-
-
-class TestOneSidedKinks:
-    TOL = 1e-9
-
-    @settings(max_examples=60, deadline=None)
-    @given(_kinked_boxes())
-    def test_equals_two_sided_integral_of_the_restriction(self, case):
-        bounds, kinks = case
-        func = _kinked_func(bounds, kinks)
-        v = integrate(func, bounds, self.TOL, kinks)
-        ref = integrate(func, bounds, self.TOL, [k[:2] for k in kinks])
+    @settings(max_examples=40, deadline=None)
+    @given(_diagrams())
+    def test_equals_the_tensor_rule(self, case):
+        diag, omega, fields = case
+        model = OscillatorModel(omega)
+        v = eval_diagram(diag, model, fields, tol=self.TOL)
+        ref = _reference(diag, model, fields, self.TOL * 1e-1)
         assert abs(v - ref) <= max(self.TOL, self.TOL * abs(ref))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([2, 3]), st.lists(_GRID, min_size=3, max_size=4,
-                                             unique=True),
-           st.booleans(), st.sampled_from([0, 1, -1]), st.data())
-    def test_dropped_kink_gives_kinked_value(self, d, ends, swap, side,
-                                             data):
-        # axes 0 and 1 touch (three ends) or are disjoint (four), in either
-        # order, so the kink's diagonal misses the box interior
-        ends = sorted(ends)
-        pair = [(ends[0], ends[1]), (ends[-2], ends[-1])]
-        bounds = (pair[::-1] if swap else pair) + data.draw(_boxes(d - 2))
-        a, b = data.draw(st.sampled_from([(0, 1), (1, 0)]))
-        func = _kinked_func(bounds, [(a, b)])
-        v = integrate(func, bounds, self.TOL, [(a, b, side)])
-        # the func has converged at n = 32; keep the kink's cut or end at
-        # the n = 64 rule that `integrate` returns
-        if a > b:
-            a, b, side = b, a, -side
-        cuts = [([], [], []) for _ in bounds]  # cut at, end at, start at
-        cuts[b][side].append(a)
-        kinked = quadrature._apply(func, bounds, cuts, 64)
-        assert abs(v - kinked) <= max(self.TOL, self.TOL * abs(kinked))
-        # a one-sided kink either holds on the whole box or nowhere on it
-        lo_a, hi_a = bounds[a]
-        lo_b, hi_b = bounds[b]
-        if side and side * (lo_b - hi_a if side > 0 else hi_b - lo_a) > 0:
-            assert v == 0.0
+    def test_disconnected_four_vertices_factorize(self):
+        f, g, h, k = (mollifier(Fraction(c), Fraction(1, 4))
+                      for c in (0, 1, 2, 3))
+        model = OscillatorModel(1)
+        d = Diagram([Vertex(w=f), Vertex(w=g), Vertex(w=h), Vertex(w=k)],
+                    [(0, 2, "retarded", 1), (1, 3, "feynman", 1)])
+        want = pair_kernel(green(model, "retarded"), f, h) * \
+            pair_kernel(green(model, "feynman"), g, k)
+        assert abs(eval_diagram(d, model, {}) - want) < 1e-12
+
+    def test_connected_four_vertices_raise(self):
+        bumps = [mollifier(Fraction(c, 2), Fraction(1, 2)) for c in range(4)]
+        d = Diagram([Vertex(w=b) for b in bumps],
+                    [(i, i + 1, "feynman", 1) for i in range(3)])
+        with pytest.raises(NotImplementedError, match="at most 3 vertices"):
+            eval_diagram(d, OscillatorModel(1), {})
+
+    def test_tadpole_is_the_kernel_at_zero(self):
+        f = mollifier(0, Fraction(1, 2))
+        model = OscillatorModel(2)
+        one = eval_diagram(Diagram([Vertex(w=f)], []), model, {})
+        for kind in KERNEL_KINDS:
+            d = Diagram([Vertex(w=f)], [(0, 0, kind, 1)])
+            want = one * PropagatorKernel(kind, 2).value(0.0)
+            assert abs(eval_diagram(d, model, {}) - want) < 1e-15
 
 
 def _two_sided_pairing(kernel, f, g, tol, fderiv=0):
-    """`pair_kernel` as it was before one-sided kinks: the s-interval cut at
-    s = t over the whole of supp f x supp g."""
-    return integrate(lambda t, s: f.deriv(t, fderiv) * kernel.value(t - s)
-                     * g(s), [f.support.bounds(), g.support.bounds()],
-                     tol, kinks=[(0, 1)])
+    """The pairing by the reference rule: supp f x supp g, the s-interval
+    cut at s = t."""
+    return tensor_integrate(lambda t, s: f.deriv(t, fderiv)
+                            * kernel.value(t - s) * g(s),
+                            [f.support.bounds(), g.support.bounds()], tol)
 
 
 _EIGHTHS = st.integers(-8, 8).map(lambda k: Fraction(k, 8))
