@@ -42,7 +42,7 @@ import numpy as np
 from .quadrature import integrate
 from .region import Bump, mollifier, not_later, window
 from .freeq import (OscillatorModel, PropagatorKernel, DiagramPoly, tprod,
-                    field_obs, eval_poly, _fuse, _hbar_weight,
+                    field_obs, eval_poly, max_abs, _fuse, _hbar_weight,
                     _mixed_states, _overlap_integral)
 
 
@@ -314,13 +314,6 @@ class TimeOrder2:
                                                     self._shifts)
 
 
-def _falling(n, m):
-    out = 1
-    for k in range(m):
-        out *= n - k
-    return out
-
-
 def _contact_terms(F: DiagramPoly, G: DiagramPoly, m, c) -> DiagramPoly:
     """c * delta(t_i - s_j) in place of the m-edge bundle between one F-vertex
     and one G-vertex: mirror of the m-fold contraction combinatorics, with
@@ -331,7 +324,7 @@ def _contact_terms(F: DiagramPoly, G: DiagramPoly, m, c) -> DiagramPoly:
         for i in range(n1):
             for j in range(n1, len(verts0)):
                 vi, vj = verts0[i], verts0[j]
-                count = _falling(vi.u, m) * _falling(vj.u, m)
+                count = math.perm(vi.u, m) * math.perm(vj.u, m)
                 if not count:
                     continue
                 verts = list(verts0)
@@ -428,17 +421,11 @@ def main_theorem_check(T: TimeOrder2, T2: TimeOrder2, battery,
 
     supports = [F.support() for F in battery]
 
-    def max_dev(P):
-        if P.is_zero():
-            return 0.0
-        return max((abs(v) for fld in fields for v in
-                    eval_poly(P, model, fld, tol=tol * 1e-2).values()),
-                   default=0.0)
-
     # diagonal support: Z2 on disjointly supported pairs vanishes
     disjoint = [(a, b) for a in range(n) for b in range(a + 1, n)
                 if supports[a].disjoint_from(supports[b])]
-    dev = max((max_dev(table[ab]) for ab in disjoint), default=0.0)
+    dev = max((max_abs(table[ab], model, fields, tol) for ab in disjoint),
+              default=0.0)
     report["diagonal_support_pairs"] = len(disjoint)
     report["diagonal_support_dev"] = dev
 
@@ -450,7 +437,8 @@ def main_theorem_check(T: TimeOrder2, T2: TimeOrder2, battery,
     pairs = [(a, c) for a in range(n) for c in range(n)
              if a != c and n >= 3 and supports[a].disjoint_from(supports[c])
              and not_later(supports[a], supports[c])]
-    hdev = max((max_dev((table[a, c] + table[c, a]).scale(Fraction(1, 2)))
+    hdev = max((max_abs((table[a, c] + table[c, a]).scale(Fraction(1, 2)),
+                        model, fields, tol)
                 for a, c in pairs), default=0.0)
     report["hammerstein_pairs"] = len(pairs)
     report["hammerstein_dev"] = hdev

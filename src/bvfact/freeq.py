@@ -688,6 +688,16 @@ def eval_poly(P: DiagramPoly, model, fields, tol=1e-10):
     return out
 
 
+def max_abs(P: DiagramPoly, model, fields_list, tol):
+    """The largest |value| of P over the field samples `fields_list`, each
+    evaluated at tol * 1e-2; 0.0 for a zero polynomial."""
+    if P.is_zero():
+        return 0.0
+    return max((abs(v) for fields in fields_list
+                for v in eval_poly(P, model, fields, tol=tol * 1e-2).values()),
+               default=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Causal factorization
 # ---------------------------------------------------------------------------

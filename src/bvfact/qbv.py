@@ -13,7 +13,7 @@ from fractions import Fraction
 from .symexpr import FormalSeries, I
 from .region import Region, Bump, window
 from .freeq import (OscillatorModel, DiagramPoly, field_obs, shat0,
-                    delta_s0, bv_laplacian, tmap, tmap_inv, eval_poly,
+                    delta_s0, bv_laplacian, tmap, tmap_inv, max_abs,
                     _mixed_states, _delta_contract)
 from .jetcalc import is_total_divergence
 from .bvalg import (GenLagrangian, antibracket_density, half_self_bracket,
@@ -191,13 +191,7 @@ class AnomalyTerm:
 
     def diagonal_dev(self, model, fields, tol=1e-8) -> float:
         """Largest pairing of the defect against off-diagonal field data."""
-        if self.defect.is_zero():
-            return 0.0
-        dev = 0.0
-        for fld in fields:
-            for v in eval_poly(self.defect, model, fld, tol=tol * 1e-2).values():
-                dev = max(dev, abs(v))
-        return dev
+        return max_abs(self.defect, model, fields, tol)
 
 
 def amwi_check(F: DiagramPoly, V: DiagramPoly = None, model=None,

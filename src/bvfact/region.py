@@ -7,13 +7,13 @@ decided exactly from the interval ends.
 
 Bumps are closed-form compactly supported smooth functions built from the
 mollifier exp(-1/(1-t^2)) under affine placement, sums, products and
-quotients.  A call on one number, `f(t)`, runs the node tree's compiled
-order-0 closure, plain `math` on one float, and the bump keeps the last
-three points it evaluated with their values, so a repeat is read back (a
-Weiss piece's shared weight is read at every point of a term's slots);
-everything else (arrays, `values`, `series`, `deriv`, `derivs`) evaluates
-with derivatives to any order through Taylor-series arithmetic (`_Taylor`),
-and the two agree bit for bit at order 0.
+quotients.  A call on one number, `f(t)`, runs the node tree's `value(t)`,
+plain `math` on one float, and the bump keeps the last three points it
+evaluated with their values, so a repeat is read back (a Weiss piece's
+shared weight is read at every point of a term's slots); everything else
+(arrays, `values`, `series`, `deriv`, `derivs`) evaluates with derivatives
+to any order through Taylor-series arithmetic (`_Taylor`), and the two
+agree bit for bit at order 0.
 """
 
 from __future__ import annotations
@@ -212,29 +212,26 @@ def containers(cover, intervals):
 # Bumps: Taylor-series arithmetic nodes
 # ---------------------------------------------------------------------------
 #
-# A node's `taylor(ev, n, flip)` returns n rows: row k holds the Taylor
-# coefficient f^(k)(t)/k! at the points of the evaluation `ev` (reflected to
-# -t when `flip`).  A row is a float when the points are one float, and an
-# array or a constant float when they are an array; the same arithmetic
-# serves both, with `_where`, `_any` and `_expf` choosing numpy or math.
-# Children are requested through `ev.rows`, which computes each (node, n,
-# flip) once per evaluation, so a subtree shared inside a tree is evaluated
-# once.  A node's `key`, built once from its parameters and its children's
-# keys, names the function it computes: a tag, then the parameters.
+# A node's `taylor(ev, n)` returns n rows: row k holds the Taylor
+# coefficient f^(k)(t)/k! at the points `ev.t`.  A row is a float when the
+# points are one float, and an array or a constant float when they are an
+# array; the same arithmetic serves both, with `_where`, `_any` and `_expf`
+# choosing numpy or math.  Children are requested through `ev.rows`, which
+# computes each (node, n) once per evaluation, so a subtree shared inside a
+# tree is evaluated once.  A node's `key`, built once from its parameters and
+# its children's keys, names the function it computes: a tag, then the
+# parameters.
 #
-# `Bump(t)` on one int or float skips `_Taylor`: `node.scalar()` is a closure
-# of `math` calls on one float, built on first use from the children's
-# closures and kept on the node, so a subtree shared inside a tree (the
-# windows of a partition of unity) is compiled once.  It makes the float
-# operations of the order-0 `_Taylor` rows in the same order, including the
-# early 0.0 of `_Prod` and `_Quot`, so the two paths agree bit for bit;
-# `_Deriv` runs `_Taylor` inside its closure.  A `_Quot` whose denominator is
-# a `_Sum` holding the numerator node (a step of a window, a psi_k of a
-# partition of unity) evaluates the numerator once and adds that value in
-# its place in the sum (`_Sum.reading`), as `_Taylor` reads it from its
-# memo.  The denominator of psi_k sums only the windows whose supports meet
-# w_k's, found by one sweep over the support intervals sorted by left end
-# (`_meeting_pairs`), not by testing every pair.
+# `Bump(t)` on one int or float skips `_Taylor`: `node.value(t)` is plain
+# `math` on one float.  It makes the float operations of the order-0
+# `_Taylor` row in the same order, including the early 0.0 of `_Prod` and
+# `_Quot`, so the two paths agree bit for bit; `_Deriv` runs `_Taylor` (the
+# base `_Node.value`).  A `_Quot` whose denominator is a `_Sum` holding the
+# numerator node (a step of a window, a psi_k of a partition of unity)
+# evaluates the numerator once and adds that value in its place in the sum,
+# as `_Taylor` reads it from its memo.  The denominator of psi_k sums only
+# the windows whose supports meet w_k's, found by one sweep over the support
+# intervals sorted by left end (`_meeting_pairs`), not by testing every pair.
 
 def _where(cond, x, y):
     if isinstance(cond, np.ndarray):
@@ -296,22 +293,17 @@ def _exp(a):
 class _Taylor:
     """One evaluation of a node tree at the points `t`."""
 
-    __slots__ = ("points", "memo")
+    __slots__ = ("t", "memo")
 
     def __init__(self, t):
-        self.points = [t, None]
+        self.t = t
         self.memo = {}
 
-    def at(self, flip):
-        if flip and self.points[1] is None:
-            self.points[1] = -self.points[0]
-        return self.points[flip]
-
-    def rows(self, node, n, flip=0):
-        key = (id(node), n, flip)
+    def rows(self, node, n):
+        key = (id(node), n)
         out = self.memo.get(key)
         if out is None:
-            out = self.memo[key] = node.taylor(self, n, flip)
+            out = self.memo[key] = node.taylor(self, n)
         return out
 
 
@@ -367,12 +359,12 @@ class Bump:
             return vb
         if t == c and (t or _same_sign(t, c)):
             return vc
-        v = self.node.scalar()(t)
+        v = self.node.value(t)
         self._last = (t, v) + last[:4]
         return v
 
     def __getstate__(self):
-        # the memo of scalar calls stays behind, as the nodes' closures do
+        # the memo of scalar calls stays behind: a copy starts empty
         state = dict(self.__dict__)
         state.pop("_last", None)
         return state
@@ -417,25 +409,11 @@ def _as_bump(x):
 
 
 class _Node:
-    """Base of the Taylor nodes: the compiled order-0 closure."""
+    """Base of the Taylor nodes: f(t) for one float t from the order-0
+    Taylor row, for a node with no `value` of its own (`_Deriv`)."""
 
-    _fn = None
-
-    def scalar(self):
-        """f(t) for one float t, built once by `_compile` and kept."""
-        fn = self._fn
-        if fn is None:
-            fn = self._fn = self._compile()
-        return fn
-
-    def _compile(self):
-        return lambda t: _Taylor(t).rows(self, 1)[0]
-
-    def __getstate__(self):
-        # the closure is rebuilt on demand; functions do not pickle
-        state = dict(self.__dict__)
-        state.pop("_fn", None)
-        return state
+    def value(self, t):
+        return _Taylor(t).rows(self, 1)[0]
 
 
 class _Const(_Node):
@@ -443,12 +421,11 @@ class _Const(_Node):
         self.c = float(c)
         self.key = ("c", self.c)
 
-    def taylor(self, ev, n, flip):
+    def taylor(self, ev, n):
         return [self.c] + [0.0] * (n - 1)
 
-    def _compile(self):
-        c = self.c
-        return lambda t: c
+    def value(self, t):
+        return self.c
 
 
 class _Poly(_Node):
@@ -458,8 +435,8 @@ class _Poly(_Node):
         self.coeffs = [float(c) for c in coeffs]
         self.key = ("p",) + tuple(self.coeffs)
 
-    def taylor(self, ev, n, flip):
-        t = ev.at(flip)
+    def taylor(self, ev, n):
+        t = ev.t
         # row j is sum_k c_k C(k, j) t^(k-j), the polynomial shifted to t
         rows = []
         for j in range(n):
@@ -469,15 +446,11 @@ class _Poly(_Node):
             rows.append(val)
         return rows
 
-    def _compile(self):
-        top = self.coeffs[::-1]
-
-        def f(t):
-            val = 0.0
-            for c in top:
-                val = val * t + c
-            return val
-        return f
+    def value(self, t):
+        val = 0.0
+        for c in reversed(self.coeffs):
+            val = val * t + c
+        return val
 
 
 class _Sum(_Node):
@@ -485,34 +458,18 @@ class _Sum(_Node):
         self.children = children
         self.key = ("+",) + tuple(ch.key for ch in children)
 
-    def taylor(self, ev, n, flip):
-        out = ev.rows(self.children[0], n, flip)
+    def taylor(self, ev, n):
+        out = ev.rows(self.children[0], n)
         for ch in self.children[1:]:
-            out = [a + b for a, b in zip(out, ev.rows(ch, n, flip))]
+            out = [a + b for a, b in zip(out, ev.rows(ch, n))]
         return out
 
-    def _compile(self):
-        first, *rest = [ch.scalar() for ch in self.children]
-
-        def f(t):
-            val = first(t)
-            for g in rest:
-                val = val + g(t)
-            return val
-        return f
-
-    def reading(self, node):
-        """The sum as a closure of (t, a), where a is the child `node`'s
-        value at t, read in its place: the same additions in the same order."""
-        first, *rest = [None if ch is node else ch.scalar()
-                        for ch in self.children]
-
-        def f(t, a):
-            val = a if first is None else first(t)
-            for g in rest:
-                val = val + (a if g is None else g(t))
-            return val
-        return f
+    def value(self, t):
+        children = iter(self.children)
+        val = next(children).value(t)
+        for ch in children:
+            val = val + ch.value(t)
+        return val
 
 
 class _Prod(_Node):
@@ -525,30 +482,27 @@ class _Prod(_Node):
             factors.extend(ch.key[1:] if ch.key[0] == "*" else [ch.key])
         self.key = ("*",) + tuple(sorted(factors))
 
-    def taylor(self, ev, n, flip):
-        out = ev.rows(self.children[0], n, flip)
+    def taylor(self, ev, n):
+        out = ev.rows(self.children[0], n)
         for ch in self.children[1:]:
             live = _nonzero(out)
             if not _any(live):
                 return [0.0] * n
-            out = _mul(out, ev.rows(ch, n, flip))
+            out = _mul(out, ev.rows(ch, n))
             if n > 1:
                 # a factor vanishing to all orders at a point zeroes the
                 # product there, whatever the other factors are
                 out = [_where(live, r, 0.0) for r in out]
         return out
 
-    def _compile(self):
-        first, *rest = [ch.scalar() for ch in self.children]
-
-        def f(t):
-            val = first(t)
-            for g in rest:
-                if val == 0:
-                    return 0.0
-                val = val * g(t)
-            return val
-        return f
+    def value(self, t):
+        children = iter(self.children)
+        val = next(children).value(t)
+        for ch in children:
+            if val == 0:
+                return 0.0
+            val = val * ch.value(t)
+        return val
 
 
 _ZERO_DEN = "series division by zero constant term"
@@ -563,12 +517,12 @@ class _Quot(_Node):
         self.den = den
         self.key = ("/", num.key, den.key)
 
-    def taylor(self, ev, n, flip):
-        a = ev.rows(self.num, n, flip)
+    def taylor(self, ev, n):
+        a = ev.rows(self.num, n)
         live = _nonzero(a)
         if not _any(live):
             return [0.0] * n
-        b = ev.rows(self.den, n, flip)
+        b = ev.rows(self.den, n)
         zero = b[0] == 0
         if _any(zero):
             if _any(zero & live):
@@ -577,26 +531,24 @@ class _Quot(_Node):
                                              for r in b[1:]]
         return _div(a, b)
 
-    def _compile(self):
-        num, den = self.num.scalar(), self.den
-        if isinstance(den, _Sum) and any(ch is self.num
-                                         for ch in den.children):
-            # a step of a window or a psi_k: the numerator's value is
-            # reused as its term of the denominator
-            den = den.reading(self.num)
+    def value(self, t):
+        num = self.num
+        a = num.value(t)
+        if a == 0:
+            return 0.0
+        if isinstance(self.den, _Sum):
+            # the sum's additions in its order, with the numerator's value
+            # read in its place (a step of a window, a psi_k)
+            terms = iter(self.den.children)
+            ch = next(terms)
+            b = a if ch is num else ch.value(t)
+            for ch in terms:
+                b = b + (a if ch is num else ch.value(t))
         else:
-            g = den.scalar()
-            den = lambda t, a: g(t)
-
-        def f(t):
-            a = num(t)
-            if a == 0:
-                return 0.0
-            b = den(t, a)
-            if b == 0:
-                raise ZeroDivisionError(_ZERO_DEN)
-            return a / b
-        return f
+            b = self.den.value(t)
+        if b == 0:
+            raise ZeroDivisionError(_ZERO_DEN)
+        return a / b
 
 
 class _ExpInv(_Node):
@@ -606,8 +558,8 @@ class _ExpInv(_Node):
         self.arg = arg
         self.key = ("e", arg.key)
 
-    def taylor(self, ev, n, flip):
-        g = ev.rows(self.arg, n, flip)
+    def taylor(self, ev, n):
+        g = ev.rows(self.arg, n)
         # exp(-1/g) is 0.0 in double for 0 < g <= 1e-3 (1/g >= 1000 > 745.2),
         # so -1/g is formed only above that, where it cannot overflow
         pos = g[0] > 1e-3
@@ -623,13 +575,9 @@ class _ExpInv(_Node):
         h = [-r for r in _div([1.0] + [0.0] * (n - 1), g)]
         return [_where(pos, r, 0.0) for r in _exp(h)]
 
-    def _compile(self):
-        arg, exp = self.arg.scalar(), math.exp
-
-        def f(t):
-            g = arg(t)
-            return exp(-1.0 / g) if g > 0 else 0.0
-        return f
+    def value(self, t):
+        g = self.arg.value(t)
+        return math.exp(-1.0 / g) if g > 0 else 0.0
 
 
 def mollifier(center=0, radius=1):
@@ -641,23 +589,26 @@ def mollifier(center=0, radius=1):
                                                Fraction(center) + Fraction(radius)))
 
 
-def _step_node(a, b):
-    # exp(-1/s) / (exp(-1/s) + exp(-1/(1-s))), s = (t-a)/(b-a), floats a < b
+def _exps(a, b):
+    # exp(-1/s) and exp(-1/(1-s)), s = (t-a)/(b-a), floats a < b
     w = b - a
-    num = _ExpInv(_Poly([-a / w, 1.0 / w]))
-    return _Quot(num, _Sum([num, _ExpInv(_Poly([b / w, -1.0 / w]))]))
+    return (_ExpInv(_Poly([-a / w, 1.0 / w])),
+            _ExpInv(_Poly([b / w, -1.0 / w])))
 
 
 def _window_node(a, b, c, d):
-    # up from a to b, times the reflection of the step from -d to -c
-    return _Prod([_step_node(a, b), _Reflect(_step_node(-d, -c))])
+    # up from a to b, e^(-1/s) / (e^(-1/s) + e^(-1/(1-s))), s = (t-a)/(b-a),
+    # times down from c to d, e^(-1/(1-s)) / (e^(-1/(1-s)) + e^(-1/s)),
+    # s = (t-c)/(d-c)
+    up, up_rest = _exps(a, b)
+    down_rest, down = _exps(c, d)
+    return _Prod([_Quot(up, _Sum([up, up_rest])),
+                  _Quot(down, _Sum([down, down_rest]))])
 
 
 def window(a, b, c, d):
     """Plateau bump: 0 outside (a,d), 1 on [b,c]; a < b <= c < d."""
-    # the mirrored step runs from float(-d) to float(-c), which keep the sign
-    # of a zero end that -float(d) and -float(c) would flip
-    node = _window_node(float(a), float(b), -float(-c), -float(-d))
+    node = _window_node(float(a), float(b), float(c), float(d))
     return Bump(node, Region.interval(Fraction(a).limit_denominator(10**12),
                                       Fraction(d).limit_denominator(10**12)))
 
@@ -668,25 +619,11 @@ class _Deriv(_Node):
         self.k = k
         self.key = ("d", k, child.key)
 
-    def taylor(self, ev, n, flip):
+    def taylor(self, ev, n):
         k = self.k
-        s = ev.rows(self.child, n + k, flip)
+        s = ev.rows(self.child, n + k)
         return [s[j + k] * math.factorial(j + k) / math.factorial(j)
                 for j in range(n)]
-
-
-class _Reflect(_Node):
-    def __init__(self, child):
-        self.child = child
-        self.key = ("r", child.key)
-
-    def taylor(self, ev, n, flip):
-        s = ev.rows(self.child, n, 1 - flip)
-        return [-r if k % 2 else r for k, r in enumerate(s)]
-
-    def _compile(self):
-        child = self.child.scalar()
-        return lambda t: child(-t)
 
 
 # ---------------------------------------------------------------------------

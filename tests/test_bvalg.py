@@ -95,6 +95,19 @@ class TestAntibracketLaws:
         assert antibracket(phi_f, phi_g).density.is_zero()
 
 
+class TestReduceCutoff:
+    def test_only_monomials_with_an_active_symbol_are_rewritten(self):
+        u = Expr.sym(jet("u"))
+        f, g = Expr.sym(tfn("f")), Expr.sym(tfn("g"))
+        density = JetExpr(f * u + Expr.sym(tfn("f", (1,))) * u
+                          + g * u * u + u, 1)
+        # f -> 1 and Df -> 0 where f is active; g u^2 and u carry no active
+        # symbol and stay as they are, g included
+        red = reduce_cutoff(density, ["f", "g"], active_names=["f"])
+        assert red.expr == u + u + g * u * u
+        assert reduce_cutoff(density, ["f", "g"]).expr == u + u + u * u
+
+
 class TestMasterEquation:
     def test_free_scalar(self):
         assert check_cme(free_scalar()).is_zero

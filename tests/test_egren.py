@@ -147,6 +147,13 @@ class TestExtension:
         want = 2.5 * f(0) - 1.25 * f.deriv(0, 1)
         assert abs(diff - want) < 1e-12
 
+    def test_bump_with_empty_support_pairs_to_zero(self):
+        # a product of bumps with disjoint supports is supported nowhere
+        f = mollifier(0, Fraction(1, 4)) * mollifier(1, Fraction(1, 4))
+        assert f.support.is_empty()
+        assert theta_power(1).pair(f) == 0.0
+        assert extend(theta_power(2)).pair(f) == 0.0
+
 
 class TestTimeOrder2:
     def test_minimal_scheme_is_naive_oracle(self):

@@ -169,6 +169,11 @@ class TestWeissDecomposition:
             weiss_decompose(F, bad)
         assert ei.value.witness is not None
 
+    def test_no_terms_is_its_own_piece(self):
+        # nothing to cut: the observable is returned whole, with element 0
+        F = MultilocalObs([], Region.interval(0, 1))
+        assert weiss_decompose(F, GOOD_COVER) == [(F, 0)]
+
 
 class TestStructuralKeys:
     def test_equal_weights_built_apart_compare_equal(self):
@@ -333,8 +338,9 @@ class TestSharedWeightEvaluations:
                    for w in t.weights}
         evals = []
         for w in weights.values():
-            fn = w.node.scalar()
-            w.node._fn = lambda t, fn=fn, w=w: evals.append((id(w), t)) or fn(t)
+            fn = w.node.value
+            w.node.value = lambda t, fn=fn, w=w: (evals.append((id(w), t))
+                                                  or fn(t))
         rng = random.Random(13)
         distinct = set()
         for _ in range(npts):

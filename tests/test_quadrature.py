@@ -100,9 +100,6 @@ def _ref(node, t, n):
         s = _ref(node.child, t, n + node.k)
         return [s[j + node.k] * math.factorial(j + node.k) / math.factorial(j)
                 for j in range(n)]
-    if kind == "_Reflect":
-        s = _ref(node.child, -t, n)
-        return [-r if k % 2 else r for k, r in enumerate(s)]
     raise AssertionError(kind)
 
 

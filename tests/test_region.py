@@ -137,9 +137,17 @@ class TestPartitionOfUnity:
         for p, C in zip(parts, cover):
             assert C.contains_region(p.support)
 
+    def test_empty_compact_set_gives_zero_bumps(self):
+        cover = [Region.interval(a, b) for a, b in self.COVER]
+        parts = partition_of_unity(cover, Region.empty())
+        assert len(parts) == len(cover)
+        for p in parts:
+            assert p.support.is_empty()
+            assert p(0.5) == 0.0 and p.deriv(0.5, 1) == 0.0
+
 
 # ---------------------------------------------------------------------------
-# Scalar calls: the compiled closure against the order-0 Taylor rows
+# Scalar calls: `value(t)` against the order-0 Taylor rows
 # ---------------------------------------------------------------------------
 
 import copy
@@ -149,7 +157,7 @@ import numpy as np
 import pytest
 from hypothesis import example
 
-from bvfact.region import _Const, _Quot, _Reflect, _Sum, _Taylor
+from bvfact.region import _Const, _Quot, _Sum, _Taylor
 
 _QUARTERS = st.integers(-4, 4).map(lambda k: Fraction(k, 4))
 _WIDTHS = st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
@@ -193,8 +201,6 @@ def _trees(leaves):
             pair.map(lambda p: (p[0][0] + p[1][0], p[0][1] + p[1][1])),
             st.tuples(st.sampled_from([3.0, -0.5, 0.0, -0.0]), children).map(
                 lambda p: (p[0] * p[1][0], p[1][1])),
-            children.map(lambda b: (Bump(_Reflect(b[0].node), b[0].support),
-                                    [-x for x in b[1]])),
             st.tuples(children, st.integers(1, 2)).map(
                 lambda p: (p[0][0].d(p[1]), p[0][1])))
     return st.recursive(leaves, grow, max_leaves=4)
@@ -275,6 +281,97 @@ class TestLocalPartitionDenominators:
         ts = np.linspace(0, 1, 20001)
         tot = sum(p.values(ts)[0] for p in _psis(n))
         assert np.all(np.abs(tot - 1.0) <= 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Windows: the falling edge against the reflected rising step
+# ---------------------------------------------------------------------------
+
+from unittest import mock
+
+import bvfact.region
+from bvfact.region import _ExpInv, _Node, _Poly, _Prod
+
+
+class _Mirror(_Node):
+    """t -> child(-t): the child's rows at -t, in an evaluation of their
+    own, with the odd rows negated."""
+
+    def __init__(self, child):
+        self.child = child
+        self.key = ("r", child.key)
+
+    def taylor(self, ev, n):
+        rows = _Taylor(-ev.t).rows(self.child, n)
+        return [-r if k % 2 else r for k, r in enumerate(rows)]
+
+    def value(self, t):
+        return self.child.value(-t)
+
+
+def _rising(a, b):
+    # exp(-1/s) / (exp(-1/s) + exp(-1/(1-s))), s = (t-a)/(b-a)
+    w = b - a
+    num = _ExpInv(_Poly([-a / w, 1.0 / w]))
+    return _Quot(num, _Sum([num, _ExpInv(_Poly([b / w, -1.0 / w]))]))
+
+
+def _reflected_window_node(a, b, c, d):
+    # up from a to b, times the step up from -d to -c reflected
+    return _Prod([_rising(a, b), _Mirror(_rising(-d, -c))])
+
+
+_ENDS = st.integers(-8, 8).map(lambda k: Fraction(k, 8))
+_GAPS = st.integers(1, 8).map(lambda k: Fraction(k, 8))
+
+
+@st.composite
+def _plateaus(draw):
+    """(bump, its reflected reference, edges): a window, a step up or down
+    (a window with one edge far off), or a function of a partition of
+    unity, with ends on a grid that holds 0."""
+    kind = draw(st.sampled_from(["window", "step up", "step down", "psi"]))
+    if kind == "psi":
+        n = draw(st.sampled_from([2, 3, 8]))
+        lo = draw(_ENDS)
+        hi = lo + draw(_GAPS)
+        k = draw(st.integers(0, n - 1))
+        with mock.patch.object(bvfact.region, "_window_node",
+                               _reflected_window_node):
+            ref = _psis(n, lo, hi)[k]
+        return _psis(n, lo, hi)[k], ref, [lo, hi]
+    a = draw(_ENDS)
+    b = a + draw(_GAPS)
+    c = b + draw(st.sampled_from([0, Fraction(1, 8), Fraction(1, 2)]))
+    d = c + draw(_GAPS)
+    edges = [a, b, c, d]
+    if kind == "step up":
+        c, d = b + 8, b + 9
+    elif kind == "step down":
+        a, b = c - 9, c - 8
+    got = window(a, b, c, d)
+    # -float(-c) keeps the sign of a zero end through the reflection
+    node = _reflected_window_node(float(a), float(b), -float(-c), -float(-d))
+    return got, Bump(node, got.support), edges
+
+
+class TestWindowConstruction:
+    @settings(max_examples=80, deadline=None)
+    @given(_plateaus(),
+           st.lists(st.sampled_from([-0.3, -1e-3, -1e-300, 0.0, 1e-300,
+                                     1e-3, 0.3]), min_size=1, max_size=4),
+           st.lists(st.floats(-3, 3), max_size=4))
+    def test_equals_the_reflected_rising_step(self, case, offsets, extra):
+        got, ref, edges = case
+        pts = [float(e) + o for e in edges for o in offsets] + extra + \
+            [0.0, -0.0]
+        ts = np.array(pts)
+        assert got.values(ts, 3).tobytes() == ref.values(ts, 3).tobytes()
+        for t in pts:
+            assert _outcome(got, t) == _outcome(ref, t)
+            assert got.values(t, 3).tobytes() == ref.values(t, 3).tobytes()
+        for k in range(4):
+            assert got.deriv(0.0, k).hex() == ref.deriv(0.0, k).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +673,7 @@ class TestScalarMemo:
         for i in order:
             t = pts[i % len(pts)]
             got = _outcome(b, t)
-            assert got == _outcome(lambda x: b.node.scalar()(float(x)), t)
+            assert got == _outcome(lambda x: b.node.value(float(x)), t)
             assert got == _outcome(lambda x: float(b.values(x)[0]), t)
 
     def test_signed_zeros_are_different_points(self):
@@ -587,8 +684,8 @@ class TestScalarMemo:
     def test_nan_is_evaluated_every_time(self):
         b, _ = _identity()
         calls = []
-        fn = b.node.scalar()
-        b.node._fn = lambda t: calls.append(t) or fn(t)
+        fn = b.node.value
+        b.node.value = lambda t: calls.append(t) or fn(t)
         for t in (math.nan, math.nan, 0.5, math.nan, 0.5):
             assert b(t).hex() == t.hex()
         assert len(calls) == 4
@@ -607,8 +704,8 @@ class TestScalarMemo:
     def test_memo_holds_three_points(self):
         b = mollifier(0, 1)
         calls = []
-        fn = b.node.scalar()
-        b.node._fn = lambda t: calls.append(t) or fn(t)
+        fn = b.node.value
+        b.node.value = lambda t: calls.append(t) or fn(t)
         for t in (0.1, 0.2, 0.3, 0.1, 0.2, 0.3, 0.4, 0.1):
             assert b(t) == fn(t)
         assert calls == [0.1, 0.2, 0.3, 0.4, 0.1]
