@@ -190,8 +190,10 @@ def emit_plotdata(report, outdir):
 
 @_suite("cme-check")
 def _cme_check(cfg, rng, orders, tol):
-    """Keys: model (registry name, default su2-yang-mills),
-    gauge_fixed (bool, default false)."""
+    """Keys: model (a name of `registry.available_models()`, default
+    su2-yang-mills; an unknown name raises KeyError), gauge_fixed (bool,
+    default false: also check the model with its gauge-fixing fermion, or
+    the model itself if it has none).  Draws nothing from the seed."""
     from .registry import load_model
     from . import bvalg
 
@@ -360,8 +362,8 @@ def _freeq_suite(cfg, rng, orders, tol):
     """Keys: omega (default 1), positivity_samples (default 6)."""
     from . import freeq
     from .region import mollifier
-    from .freeq import (OscillatorModel, green, field_obs, star, unit,
-                        peierls, tmap, tmap_inv, shat0, eval_poly)
+    from .freeq import (OscillatorModel, green, field_obs, star, peierls,
+                        tmap, tmap_inv, shat0, delta_s0, eval_poly)
     from .numfields import Poly1D
 
     omega = float(cfg_fraction(cfg, "omega", 1))
@@ -428,7 +430,7 @@ def _freeq_suite(cfg, rng, orders, tol):
         field_obs(g, power=1, orders=orders)
     cf = shat0(B)
     checks.append(_check("shat0-closed-vs-conjugation",
-                         cf == shat0(B, closed_form=False)))
+                         cf == tmap_inv(delta_s0(tmap(B)))))
     checks.append(_check("shat0-squared-zero", shat0(cf).is_zero()))
     return checks, curves
 
@@ -516,7 +518,8 @@ def _eg(cfg, rng, orders, tol):
 
 @_suite("rg-check")
 def _rg(cfg, rng, orders, tol):
-    """Keys: shift (default 0.37), omega (default 1)."""
+    """Keys: shift (default 0.37), omega (default 1).  Draws nothing from
+    the seed."""
     from .region import mollifier
     from .egren import TimeOrder2, main_theorem_check, \
         recover_delta_coefficient

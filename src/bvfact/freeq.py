@@ -783,10 +783,8 @@ def bv_laplacian(F: DiagramPoly) -> DiagramPoly:
     return out
 
 
-def shat0(F: DiagramPoly, closed_form=True) -> DiagramPoly:
-    """Free quantum BV differential s0 = T^-1 o delta_S0 o T; the closed
-    form is delta_S0 - i hbar Laplacian."""
-    if closed_form:
-        ihbar = FormalSeries({(1, 0): I}, F.orders)
-        return delta_s0(F) - bv_laplacian(F).scale(ihbar)
-    return tmap_inv(delta_s0(tmap(F)))
+def shat0(F: DiagramPoly) -> DiagramPoly:
+    """Free quantum BV differential s0 = T^-1 o delta_S0 o T in its closed
+    form delta_S0 - i hbar Laplacian."""
+    ihbar = FormalSeries({(1, 0): I}, F.orders)
+    return delta_s0(F) - bv_laplacian(F).scale(ihbar)

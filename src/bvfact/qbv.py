@@ -10,7 +10,7 @@ not postulated, and the measurement doubles as the null test.
 
 from fractions import Fraction
 
-from .symexpr import FormalSeries, I
+from .symexpr import FormalSeries
 from .region import Region, Bump, window
 from .freeq import (OscillatorModel, DiagramPoly, field_obs, shat0,
                     delta_s0, bv_laplacian, tmap, tmap_inv, max_abs,
@@ -88,11 +88,10 @@ def interacting_bv(F: DiagramPoly, V: DiagramPoly = None,
 
 def check_qme_vertex(V: DiagramPoly, fake_anomaly=None):
     """QME residual for S0 + V at the diagram level:
-    (1/2){V, V} + {S0, V} - i hbar Laplacian(V) (+ an injected fake anomaly),
-    reported per (hbar, lambda) order."""
-    ih = FormalSeries({(1, 0): I}, V.orders)
-    resid = (diagram_antibracket(V, V).scale(Fraction(1, 2)) +
-             delta_s0(V) - bv_laplacian(V).scale(ih))
+    (1/2){V, V} + s0(V) (+ an injected fake anomaly), with s0 = {S0, .} -
+    i hbar Laplacian the free quantum BV differential `shat0`, reported per
+    (hbar, lambda) order."""
+    resid = diagram_antibracket(V, V).scale(Fraction(1, 2)) + shat0(V)
     if fake_anomaly is not None:
         resid = resid + fake_anomaly
     orders = {}

@@ -12,8 +12,10 @@ plain `math` on one float, and the bump keeps the last three points it
 evaluated with their values, so a repeat is read back (a Weiss piece's
 shared weight is read at every point of a term's slots); everything else
 (arrays, `values`, `series`, `deriv`, `derivs`) evaluates with derivatives
-to any order through Taylor-series arithmetic (`_Taylor`), and the two
-agree bit for bit at order 0.
+to any order through Taylor-series arithmetic (`_Taylor`).  At order 0 the
+two agree bit for bit on one float, where both use `math`; on an array the
+rows use numpy's `exp`, so `f(ts)` can differ from `[f(t) for t in ts]` in
+the last bit (a few ulp relative).
 """
 
 from __future__ import annotations
@@ -225,13 +227,15 @@ def containers(cover, intervals):
 # `Bump(t)` on one int or float skips `_Taylor`: `node.value(t)` is plain
 # `math` on one float.  It makes the float operations of the order-0
 # `_Taylor` row in the same order, including the early 0.0 of `_Prod` and
-# `_Quot`, so the two paths agree bit for bit; `_Deriv` runs `_Taylor` (the
-# base `_Node.value`).  A `_Quot` whose denominator is a `_Sum` holding the
-# numerator node (a step of a window, a psi_k of a partition of unity)
-# evaluates the numerator once and adds that value in its place in the sum,
-# as `_Taylor` reads it from its memo.  The denominator of psi_k sums only
-# the windows whose supports meet w_k's, found by one sweep over the support
-# intervals sorted by left end (`_meeting_pairs`), not by testing every pair.
+# `_Quot`, so the two paths agree bit for bit on one float (numpy's `exp`
+# on an array may differ from `math.exp` in the last bit); `_Deriv` runs
+# `_Taylor` (the base `_Node.value`).  A `_Quot` whose denominator is a
+# `_Sum` holding the numerator node (a step of a window, a psi_k of a
+# partition of unity) evaluates the numerator once and adds that value in
+# its place in the sum, as `_Taylor` reads it from its memo.  The
+# denominator of psi_k sums only the windows whose supports meet w_k's,
+# found by one sweep over the support intervals sorted by left end
+# (`_meeting_pairs`), not by testing every pair.
 
 def _where(cond, x, y):
     if isinstance(cond, np.ndarray):
@@ -581,7 +585,9 @@ class _ExpInv(_Node):
 
 
 def mollifier(center=0, radius=1):
-    """exp(-1/(1 - ((t-c)/r)^2)) on (c-r, c+r)."""
+    """exp(-1/(1 - ((t-c)/r)^2)) on (c-r, c+r); radius > 0."""
+    if not radius > 0:
+        raise ValueError("mollifier radius must be > 0, got %r" % (radius,))
     c, r = float(center), float(radius)
     # 1 - ((t-c)/r)^2 as a polynomial in t
     poly = _Poly([1 - c * c / r ** 2, 2 * c / r ** 2, -1 / r ** 2])
@@ -608,6 +614,9 @@ def _window_node(a, b, c, d):
 
 def window(a, b, c, d):
     """Plateau bump: 0 outside (a,d), 1 on [b,c]; a < b <= c < d."""
+    if not a < b <= c < d:
+        raise ValueError("window ends must satisfy a < b <= c < d, got %r"
+                         % ((a, b, c, d),))
     node = _window_node(float(a), float(b), float(c), float(d))
     return Bump(node, Region.interval(Fraction(a).limit_denominator(10**12),
                                       Fraction(d).limit_denominator(10**12)))

@@ -1,36 +1,14 @@
-"""Loader for the structured-text model registry.
-
-A ``.model`` file is a sequence of whitespace-separated directives, one per
-line (``#`` comments allowed):
-
-    model <name>
-    dim <n>
-    field <label> <grade>
-    template <builder key>
-    param <key> <rational>
-    gauge_fixing <builder key>      (optional)
-
-The field list is checked against the field content the template builder
-declares; loading fails on a mismatch.
-"""
-
-from fractions import Fraction
-from importlib import resources
+"""Named models: one table from each name to its `bvalg` builder and, for a
+gauge theory, its gauge-fixing fermion, each at the builder's defaults."""
 
 from . import bvalg
 
 
-class RegistryError(ValueError):
-    pass
-
-
 class ModelEntry:
-    def __init__(self, name, dim, lagrangian, gauge_fixing=None, params=None):
+    def __init__(self, name, lagrangian, gauge_fixing=None):
         self.name = name
-        self.dim = dim
         self.lagrangian = lagrangian          # GenLagrangian
         self.gauge_fixing = gauge_fixing      # GenLagrangian or None
-        self.params = dict(params or {})
 
     def gauge_fixed(self):
         if self.gauge_fixing is None:
@@ -38,95 +16,26 @@ class ModelEntry:
         return bvalg.gauge_fix(self.lagrangian, self.gauge_fixing)
 
     def __repr__(self):
-        return "ModelEntry(%r, dim=%d)" % (self.name, self.dim)
+        return "ModelEntry(%r, dim=%d)" % (self.name, self.lagrangian.dim)
 
 
-def _scalar_free(dim, params):
-    return bvalg.free_scalar(omega=params.get("omega", Fraction(1)), dim=dim)
-
-
-def _scalar_quartic(dim, params):
-    L = bvalg.free_scalar(omega=params.get("omega", Fraction(1)), dim=dim)
-    return L + bvalg.quartic_interaction(params.get("coupling", Fraction(1)),
-                                         dim=dim)
-
-
-def _su2_ym(dim, params):
-    return bvalg.su2_yang_mills(dim=dim,
-                                ac_coeff=params.get("ac_coeff", Fraction(1)))
-
-
-_TEMPLATES = {
-    "free_scalar": _scalar_free,
-    "free_scalar_quartic": _scalar_quartic,
-    "su2_yang_mills": _su2_ym,
+# name -> (Lagrangian builder, gauge-fixing fermion builder or None)
+_MODELS = {
+    "scalar-free": (bvalg.free_scalar, None),
+    "scalar-quartic": (lambda: bvalg.free_scalar() +
+                       bvalg.quartic_interaction(1), None),
+    "su2-yang-mills": (bvalg.su2_yang_mills, bvalg.su2_gauge_fixing_fermion),
 }
-
-_FERMIONS = {
-    "su2_lorenz_fermion": lambda dim, params: bvalg.su2_gauge_fixing_fermion(dim),
-}
-
-
-def parse_model(text: str) -> ModelEntry:
-    name = None
-    dim = None
-    fields = []
-    template = None
-    fermion = None
-    params = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        key, args = parts[0], parts[1:]
-        if key == "model" and len(args) == 1:
-            name = args[0]
-        elif key == "dim" and len(args) == 1:
-            dim = int(args[0])
-        elif key == "field" and len(args) == 2:
-            fields.append((args[0], int(args[1])))
-        elif key == "template" and len(args) == 1:
-            template = args[0]
-        elif key == "gauge_fixing" and len(args) == 1:
-            fermion = args[0]
-        elif key == "param" and len(args) == 2:
-            params[args[0]] = Fraction(args[1])
-        else:
-            raise RegistryError("bad directive on line %d: %r" % (lineno, raw))
-    if name is None or dim is None or template is None:
-        raise RegistryError("model, dim and template directives are required")
-    if template not in _TEMPLATES:
-        raise RegistryError("unknown template %r" % template)
-    L = _TEMPLATES[template](dim, params)
-    declared = bvalg.FieldContent(fields)
-    if declared != L.content:
-        raise RegistryError("field list does not match template %r" % template)
-    gf = None
-    if fermion is not None:
-        if fermion not in _FERMIONS:
-            raise RegistryError("unknown gauge-fixing fermion %r" % fermion)
-        gf = _FERMIONS[fermion](dim, params)
-    return ModelEntry(name, dim, L, gf, params)
 
 
 def load_model(name: str) -> ModelEntry:
-    """Load a bundled model by registry name or a ``.model`` file by path."""
-    if name.endswith(".model"):
-        with open(name) as fh:
-            return parse_model(fh.read())
-    fname = name.replace("-", "_") + ".model"
-    try:
-        text = resources.files("bvfact.models").joinpath(fname).read_text()
-    except FileNotFoundError:
+    """The model of a registry name; KeyError names the available ones."""
+    if name not in _MODELS:
         raise KeyError("unknown model %r; available: %s"
                        % (name, ", ".join(available_models())))
-    return parse_model(text)
+    lagrangian, fermion = _MODELS[name]
+    return ModelEntry(name, lagrangian(), fermion() if fermion else None)
 
 
 def available_models():
-    out = []
-    for entry in resources.files("bvfact.models").iterdir():
-        if entry.name.endswith(".model"):
-            out.append(entry.name[:-len(".model")].replace("_", "-"))
-    return sorted(out)
+    return sorted(_MODELS)

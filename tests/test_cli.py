@@ -36,6 +36,13 @@ class TestConfigParsing:
         w = parse_weight("mollifier(1/2, 1/2)")
         assert w.support.bounds() == (Fraction(0), Fraction(1))
 
+    def test_weight_literal_with_a_radius_not_above_zero(self):
+        # a config file reaches mollifier here; mollifier(0, -1) would claim
+        # an empty support, though its formula is e^-1 at 0
+        for text in ("mollifier(0, -1)", "mollifier(1/2, 0)"):
+            with pytest.raises(ValueError):
+                parse_weight(text)
+
     def test_orders(self):
         assert parse_orders(None) == (3, 2)
         assert parse_orders("hbar=2,lambda=1") == (2, 1)
@@ -108,6 +115,30 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=300)
         assert res.returncode == 0, res.stderr
         assert json.loads(out.read_text())["scenario"] == "olver-exactness"
+
+
+class TestCMECheckConfig:
+    def _run(self, tmp_path, text):
+        cfg = tmp_path / "cme.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "r.json"
+        rc = main(["cme-check", "--config", str(cfg), "--out", str(out)])
+        return rc, json.loads(out.read_text())
+
+    @pytest.mark.parametrize("model", ["scalar-quartic", "su2-yang-mills"])
+    def test_model_and_gauge_fixed_keys(self, tmp_path, model):
+        rc, rep = self._run(tmp_path,
+                            "model = %s\ngauge_fixed = true\n" % model)
+        assert rc == 0 and rep["ok"]
+        assert [(c["name"], c["passed"]) for c in rep["checks"]] == [
+            ("cme-residual-zero[%s]" % model, True),
+            ("cme-residual-zero[%s+gf]" % model, True)]
+
+    def test_unknown_model_names_the_available_ones(self, tmp_path):
+        with pytest.raises(KeyError) as exc:
+            self._run(tmp_path, "model = no-such-model\n")
+        for name in ("scalar-free", "scalar-quartic", "su2-yang-mills"):
+            assert name in str(exc.value)
 
 
 _NO_SCIPY = """

@@ -761,3 +761,33 @@ class TestTouchingIntervals:
         assert psi(0.5) == 0.0
         for t in (0.125, 0.25, 0.375, 0.625, 0.75, 0.875):
             assert abs(psi(t) - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Constructors refuse a support the bump would not have
+# ---------------------------------------------------------------------------
+
+class TestConstructorsCheckTheirSupport:
+    @pytest.mark.parametrize("radius", [-1, 0, Fraction(-1, 4), -0.0,
+                                        float("nan")])
+    def test_mollifier_needs_a_positive_radius(self, radius):
+        # the formula at radius -1 is e^-1 at 0, off an empty support
+        with pytest.raises(ValueError):
+            mollifier(0, radius)
+
+    @pytest.mark.parametrize("ends", [
+        (1, 0, 2, 3),                   # a > b: the formula is 1 at -5
+        (0, 1, 2, 2),                   # c = d: a division by zero
+        (0, 0, 1, 2),                   # a = b
+        (0, 2, 1, 3),                   # b > c
+        (3, 2, 1, 0),
+        (0, 1, 2, float("nan")),
+    ])
+    def test_window_needs_ordered_ends(self, ends):
+        with pytest.raises(ValueError):
+            window(*ends)
+
+    def test_a_window_may_have_a_one_point_plateau(self):
+        w = window(0, 1, 1, 2)
+        assert w.support.bounds() == (0, 2)
+        assert w(1.0) == 1.0 and w(-0.5) == 0.0 and w(2.5) == 0.0

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from bvfact.registry import available_models, load_model
-from bvfact.bvalg import check_cme
+from bvfact.bvalg import (check_cme, free_scalar, gauge_fix,
+                          quartic_interaction, su2_gauge_fixing_fermion,
+                          su2_yang_mills)
 from bvfact.numfields import Poly1D, Harmonic1D, Gaussian1D, zero_field
 
 
@@ -24,8 +26,29 @@ class TestRegistry:
         assert check_cme(m.gauge_fixed()).is_zero
 
     def test_unknown_model(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="scalar-free, scalar-quartic, "
+                                           "su2-yang-mills"):
             load_model("no-such-model")
+
+    def test_entries_are_the_builders_at_their_defaults(self):
+        builders = {
+            "scalar-free": free_scalar(),
+            "scalar-quartic": free_scalar() + quartic_interaction(1),
+            "su2-yang-mills": su2_yang_mills(),
+        }
+        for name, L in builders.items():
+            got = load_model(name).lagrangian
+            assert got.density == L.density, name
+            assert got.content == L.content, name
+            assert got.testnames == L.testnames, name
+            assert got.unit_on == L.unit_on, name
+
+    def test_gauge_fixing_fermion(self):
+        assert load_model("su2-yang-mills").gauge_fixed().density == \
+            gauge_fix(su2_yang_mills(), su2_gauge_fixing_fermion()).density
+        for name in ("scalar-free", "scalar-quartic"):
+            m = load_model(name)
+            assert m.gauge_fixed() is m.lagrangian, name
 
 
 class TestNumFields:
