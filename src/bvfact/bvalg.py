@@ -158,26 +158,29 @@ def reduce_cutoff(density: JetExpr, unit_names, active_names=None) -> JetExpr:
 
     If `active_names` is given, the rewrite is applied only to monomials that
     carry at least one test symbol from `active_names` (whose support is where
-    the cutoff equals 1); other monomials are left untouched.
+    the cutoff equals 1); other monomials are left untouched.  Each symbol is
+    classified once per call, not once per monomial it is a factor of.
     """
-    unit_names = set(unit_names)
+    symbols = density.expr.symbols()
+    # test symbol of a unit name -> whether its factor kills the monomial
+    # (Df -> 0) rather than becoming 1 (f**e -> 1)
+    unit = {s: any(s.index) for s in symbols
+            if s.ns == "tf" and s.name in unit_names}
+    active = None if active_names is None else \
+        {s for s in symbols if s.ns == "tf" and s.name in active_names}
     acc = []
     for mono, c in density.expr.terms.items():
-        has_active = active_names is None or any(
-            s.ns == "tf" and s.name in active_names for s, _ in mono)
-        if not has_active:
+        live, dead, kept = active is None, False, []
+        for factor in mono:
+            s = factor[0]
+            live = live or s in active
+            if s not in unit:
+                kept.append(factor)
+            elif unit[s]:
+                dead = True
+        if not live:
             acc.append((mono, c))
-            continue
-        dead = False
-        kept = []
-        for s, e in mono:
-            if s.ns == "tf" and s.name in unit_names:
-                if any(s.index):
-                    dead = True
-                    break
-                continue  # f**e -> 1
-            kept.append((s, e))
-        if not dead:
+        elif not dead:
             acc.append((tuple(kept), c))
     return JetExpr(Expr.from_terms(acc), density.dim)
 

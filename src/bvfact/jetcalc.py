@@ -17,7 +17,7 @@ against one bump weight; field samples are those of `bvfact.numfields`.
 
 from __future__ import annotations
 
-from .symexpr import Expr, Symbol, QI, _add_into
+from .symexpr import Expr, Symbol, QI
 
 
 def __getattr__(name):
@@ -133,60 +133,93 @@ class JetExpr:
         return repr(self.expr)
 
 
-# (symbol, axis) -> prolonged symbol; symbols are interned, so the memo
-# only saves building and looking up the bumped index again
+# axis -> {symbol: (prolonged symbol s', its order, the factor (s', 1))};
+# symbols are interned, so the memo only saves building and looking up the
+# bumped index again
 _PROLONGED = {}
 
 
-def total_derivative(f: JetExpr, i: int) -> JetExpr:
-    """Total derivative D_i: chain rule through base, jet and test symbols.
+def _prolong(table, s, i):
+    """Enter s in `table`, the memo of axis i, and return its entry."""
+    p = Symbol(s.ns, s.name, _bump_index(s.index, i), s.grade)
+    entry = table[s] = (p, p._order, (p, 1))
+    return entry
+
+
+def total_derivative(f: JetExpr, i: int, *, minus_from=None) -> JetExpr:
+    """Total derivative D_i f, or minus_from - D_i f when `minus_from` (a
+    JetExpr, or 0) is given: the Horner step of the Euler operator
+    (`_horner`).
 
     D_i is an even derivation, D_i f = sum_s (d^R f/ds) s', where s' is the
-    prolonged symbol (1 for x_i, 0 for the other base coordinates).  The
-    right partials come from one pass over f's terms (`Expr.dright`).  Each
-    term of d^R f/ds takes s' on its right: s' enters from the right end of
-    the sorted monomial, past the factors that sort after it, and an odd s'
-    flips the sign once per odd factor it passes.  If s' is a factor
-    already, an odd s' kills the term and an even one raises its exponent.
-    (s' sorts after s, as bumping an index entry gives a larger tuple.)
-    Every term goes straight into one sum.
+    prolonged symbol (1 for x_i, 0 for the other base coordinates).  No
+    partial is built: one pass over f's monomials (`_derive_into`) writes
+    each term of the sum into one term dict, empty or a copy of
+    minus_from's terms, and cancelled terms leave it at once.
     """
     if not 0 <= i < f.dim:
         raise IndexError("base index %d out of range for dim %d" % (i, f.dim))
-    acc = {}
-    for s in f.expr.symbols():
-        if s.ns == "x":
-            if s.index[0] == i:
-                _add_into(acc, f.expr.dright(s).terms)
-            continue
-        p = _PROLONGED.get((s, i))
-        if p is None:
-            p = _PROLONGED[s, i] = Symbol(s.ns, s.name,
-                                          _bump_index(s.index, i), s.grade)
-        order, odd = p._order, p.odd
-        for mono, c in f.expr.dright(s).terms.items():
-            k = len(mono)
-            flip = False
-            while k and mono[k - 1][0]._order > order:
-                k -= 1
-                if odd and mono[k][0].odd:
-                    flip = not flip
-            if k and mono[k - 1][0] is p:
-                if odd:
-                    continue  # odd square
-                m = mono[:k - 1] + ((p, mono[k - 1][1] + 1),) + mono[k:]
+    acc = dict(minus_from.expr.terms) if minus_from else {}
+    _derive_into(acc, f.expr.terms, i, minus_from is not None)
+    return JetExpr(Expr(acc), f.dim)
+
+
+def _derive_into(acc, terms, i, negate):
+    """Add D_i of the term dict `terms` into the term dict `acc` in place, or
+    subtract it when `negate`.
+
+    Each factor s^e of a monomial gives one term: s^e is lowered and s' goes
+    into its sorted slot, which comes after s's position (s' sorts after s,
+    as bumping an index entry gives a larger tuple).  An odd s moves to the
+    slot past the factors between, so the sign flips once per odd factor
+    strictly between s's position and the slot.  If s' is a factor
+    already, it is at the slot: an odd s' (s' has s's grade) kills the
+    term, and an even one's exponent rises.  x_i is only lowered, and
+    e > 1 multiplies by e.  A coefficient is negated at most once, however
+    many terms it gives.
+    """
+    table = _PROLONGED.setdefault(i, {})
+    for mono, c in terms.items():
+        neg = None  # -c, made on first use
+        n = len(mono)
+        for k in range(n):
+            s, e = mono[k]
+            flip = negate
+            if s.ns == "x":
+                if s.index[0] != i:
+                    continue
+                m = mono[:k] + mono[k + 1:] if e == 1 else \
+                    mono[:k] + ((s, e - 1),) + mono[k + 1:]
             else:
-                m = mono[:k] + ((p, 1),) + mono[k:]
+                p, order, factor = table.get(s) or _prolong(table, s, i)
+                j = k + 1
+                while j < n and mono[j][0]._order < order:
+                    if s.odd and mono[j][0].odd:
+                        flip = not flip
+                    j += 1
+                head = mono[:k] if e == 1 else mono[:k] + ((s, e - 1),)
+                if j < n and mono[j][0] is p:
+                    if s.odd:
+                        continue  # odd square
+                    m = head + mono[k + 1:j] + \
+                        ((p, mono[j][1] + 1),) + mono[j + 1:]
+                else:
+                    m = head + mono[k + 1:j] + (factor,) + mono[j:]
             if flip:
-                c = -c
-            v = acc.get(m)
-            if v is not None:
-                c = v + c
-                if not c:
+                if neg is None:
+                    neg = -c
+                v = neg
+            else:
+                v = c
+            if e > 1:
+                v = v * e
+            old = acc.get(m)
+            if old is not None:
+                v = old + v
+                if not v:
                     del acc[m]
                     continue
-            acc[m] = c
-    return JetExpr(Expr(acc), f.dim)
+            acc[m] = v
 
 
 class LagForm:
@@ -280,8 +313,10 @@ def _horner(parts, n, label, eta=None, lead=()):
 
     On axis i = len(lead) it runs R_m = Q_m - D_i R_{m+1} from the highest
     m down and returns R_0, where Q_m is this sum over the K beginning with
-    (lead, m), one axis further in.  Each step subtracts D_i R_{m+1} in
-    place from one copy of Q_m's terms.  So axis 0 is outermost, and in
+    (lead, m), one axis further in (0 where there is none).  Each step is
+    one call total_derivative(R_{m+1}, i, minus_from=Q_m): a single pass
+    over R_{m+1}'s monomials writes -D_i R_{m+1} into a copy of Q_m's terms,
+    with no partial of R_{m+1} built.  So axis 0 is outermost, and in
     dim 1 a field costs max K total derivatives, not sum K.  With `eta`,
     each step also adds u_(lead, m) R_{m+1} to eta[i], u on the left: the
     homotopy operator, with u the symbol of `label` = (namespace, name,
@@ -298,8 +333,7 @@ def _horner(parts, n, label, eta=None, lead=()):
             if eta is not None:
                 u = Symbol(label[0], label[1], _trim(lead + (m,)), label[2])
                 eta[i] = eta[i] + Expr.sym(u) * r.expr
-            dr = total_derivative(r, i)
-            q = -dr if q is None else q - dr
+            q = total_derivative(r, i, minus_from=0 if q is None else q)
         r = q
     return r
 

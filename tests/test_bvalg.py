@@ -95,6 +95,42 @@ class TestAntibracketLaws:
         assert antibracket(phi_f, phi_g).density.is_zero()
 
 
+def _reduce_cutoff_per_monomial(density, unit_names, active_names=None):
+    """reduce_cutoff with each monomial's symbols classified afresh."""
+    acc = []
+    for mono, c in density.expr.terms.items():
+        if active_names is not None and not any(
+                s.ns == "tf" and s.name in active_names for s, _ in mono):
+            acc.append((mono, c))
+            continue
+        kept = []
+        for s, e in mono:
+            if s.ns == "tf" and s.name in unit_names:
+                if any(s.index):
+                    break
+                continue  # f**e -> 1
+            kept.append((s, e))
+        else:
+            acc.append((tuple(kept), c))
+    return Expr.from_terms(acc)
+
+
+@st.composite
+def _cutoff_densities(draw):
+    """Densities in u, an odd c and the test functions f, g, h with their
+    first derivatives, so that the rewrite can merge and kill monomials."""
+    pool = [jet("u"), jet("u", (1,)), jet("c", (), -1)] + \
+        [tfn(n, mu) for n in "fgh" for mu in ((), (1,), (0, 1))]
+    e = Expr.zero()
+    for _ in range(draw(st.integers(1, 6))):
+        m = Expr.const(QI(draw(st.integers(-3, 3)), draw(st.integers(-1, 1))))
+        for _ in range(draw(st.integers(0, 4))):
+            m = m * Expr.sym(draw(st.sampled_from(pool))) ** \
+                draw(st.integers(1, 2))
+        e = e + m
+    return JetExpr(e, 2)
+
+
 class TestReduceCutoff:
     def test_only_monomials_with_an_active_symbol_are_rewritten(self):
         u = Expr.sym(jet("u"))
@@ -106,6 +142,13 @@ class TestReduceCutoff:
         red = reduce_cutoff(density, ["f", "g"], active_names=["f"])
         assert red.expr == u + u + g * u * u
         assert reduce_cutoff(density, ["f", "g"]).expr == u + u + u * u
+
+    @given(_cutoff_densities(), st.sets(st.sampled_from("fgh")),
+           st.none() | st.sets(st.sampled_from("fgh")))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_per_monomial_loop(self, density, units, active):
+        got = reduce_cutoff(density, units, active)
+        assert got.expr == _reduce_cutoff_per_monomial(density, units, active)
 
 
 class TestMasterEquation:
@@ -204,6 +247,35 @@ class TestCMEWork:
         assert check_cme(L).is_zero
         assert len(runs) == 2
         assert len(merges) <= 600
+
+    def test_gauge_fixed_su2_partials_once_per_input(self, monkeypatch):
+        # the residual's two Euler-Lagrange runs take the partials of their
+        # inputs, once each; a Horner step R_m = Q_m - D R_{m+1} takes none,
+        # and the steps are as many as they were with two-pass steps
+        from bvfact import jetcalc, symexpr
+        L = gauge_fix(su2_yang_mills(), su2_gauge_fixing_fermion())
+        runs, passes, steps = [], [], []
+        euler, partials = jetcalc._euler_operator, symexpr._all_partials
+        derivative = jetcalc.total_derivative
+
+        def counted_euler(*args, **kw):
+            runs.append(1)
+            return euler(*args, **kw)
+
+        def counted_partials(*args, **kw):
+            passes.append(1)
+            return partials(*args, **kw)
+
+        def counted_derivative(f, i, **kw):
+            steps.append(i)
+            return derivative(f, i, **kw)
+        monkeypatch.setattr(jetcalc, "_euler_operator", counted_euler)
+        monkeypatch.setattr(symexpr, "_all_partials", counted_partials)
+        monkeypatch.setattr(jetcalc, "total_derivative", counted_derivative)
+        assert check_cme(L).is_zero
+        assert len(runs) == 2
+        assert len(passes) == len(runs)
+        assert len(steps) == 88
 
 
 class TestEliminateB:

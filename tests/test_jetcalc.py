@@ -370,13 +370,20 @@ def _densities(draw):
 
 
 class TestTotalDerivativeChainRule:
-    @given(_densities())
+    @given(_densities(), st.sampled_from([0, 1, -1, 2]), _densities())
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_symbol_chain_rule(self, f):
+    def test_matches_per_symbol_chain_rule(self, f, t, g):
+        # and the Horner step Q - D_i f, with Q = t D_i f + g so that terms
+        # of the step cancel (t = 1), or Q = 0
         for i in range(f.dim):
+            want = _td_per_symbol(f, i)
             got = total_derivative(f, i).expr
-            assert got == _td_per_symbol(f, i)
+            assert got == want
             assert got == _td_leibniz(f, i)
+            q = JetExpr(Expr.const(t) * want + g.expr, f.dim)
+            assert total_derivative(f, i, minus_from=q).expr == q.expr - want
+            assert total_derivative(-f, i, minus_from=q).expr == q.expr + want
+            assert total_derivative(f, i, minus_from=0).expr == -want
 
     def test_odd_factors_and_powers(self):
         u, c, cb = jet("u"), jet("c", (), -1), jet("cb", (), -1)
@@ -402,6 +409,14 @@ class TestTotalDerivativeChainRule:
                 got = total_derivative(f, i)
                 assert got.expr == _td_per_symbol(f, i) == _td_leibniz(f, i)
                 assert not got.is_zero()
+
+    def test_input_terms_are_left_alone(self):
+        u, c = jet("u"), jet("c", (), -1)
+        f = JetExpr(Expr.sym(u) ** 2 * Expr.sym(c), 1)
+        q = JetExpr.of(_prolong(u, 0), 1)
+        before = (dict(f.expr.terms), dict(q.expr.terms))
+        total_derivative(f, 0, minus_from=q)
+        assert (f.expr.terms, q.expr.terms) == before
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +582,9 @@ class TestHornerEulerOperator:
         from bvfact import jetcalc
         calls = []
 
-        def counted(f, i):
+        def counted(f, i, **kw):
             calls.append(i)
-            return total_derivative(f, i)
+            return total_derivative(f, i, **kw)
 
         monkeypatch.setattr(jetcalc, "total_derivative", counted)
         L = JetExpr(sum((Expr.sym(jet("u", (j,))) ** 2 for j in range(k + 1)),
@@ -590,9 +605,9 @@ class TestHomotopyExactnessCheck:
         omega = LagForm.top(total_derivative(u * u1 * u2, 0), 1)
         calls = []
 
-        def counted(f, i):
+        def counted(f, i, **kw):
             calls.append(i)
-            return total_derivative(f, i)
+            return total_derivative(f, i, **kw)
 
         monkeypatch.setattr(jetcalc, "total_derivative", counted)
         eta, obstruction = homotopy_primitive(omega)
